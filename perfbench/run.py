@@ -167,7 +167,10 @@ def check_outputs(problems, passes):
                 continue
             key = (p.name, one.outputs[p.name])
             if key not in verdicts:
-                verdicts[key] = p.check(one.outputs[p.name], one.outputs)
+                try:
+                    verdicts[key] = p.check(one.outputs[p.name], one.outputs)
+                except Exception as err:  # output too malformed to parse
+                    verdicts[key] = [f"check raised {type(err).__name__}: {err}"]
             faults += [f"{p.name}: {f}" for f in verdicts[key]]
             failed += bool(verdicts[key])
     return faults, failed
