@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -213,23 +214,120 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
     return f.scale(scale)
 
 
-def _store(f: Polynomial, order: TermOrder, normalize: bool) -> Polynomial:
-    lc = f.leading_term(order)[0]
-    if normalize and isinstance(lc, Fraction):
-        return integer_normalize(f, order)
-    return f.monic(order)
-
-
-# -- fraction-free fast path -----------------------------------------
+# -- packed integer kernel -------------------------------------------
 #
-# Inside Buchberger the remainder of an S-polynomial is immediately
-# rescaled to integer content 1, so any positive multiple of the true
-# normal form serves.  Working with plain integers avoids the
-# per-operation gcd that Fraction arithmetic performs; it applies only
-# when the coefficients are rational and normalization is on.
+# Over Q, Buchberger with normalization on and the interreduction run on
+# integer coefficients and packed terms; Buchberger with
+# ``normalize=False`` and everything over Q(params) use ``normal_form``.
+# A remainder is rescaled to integer content 1 (or made monic) right
+# away, so any positive multiple of the true normal form serves: instead
+# of dividing by a leading coefficient, the pending polynomial is scaled
+# up by the smallest factor making the division exact, which avoids the
+# gcd that every Fraction operation performs.  Reducers are tried in
+# list order on the largest pending term, as in ``normal_form``, so both
+# paths store the same elements up to constant factors.
+#
+# A term is one plain int made of fields of ``bits`` value bits plus a
+# guard bit each: the order's weight rows (most significant first),
+# then the exponents.  Comparing two ints compares the terms in the
+# order, and adding two ints multiplies the terms.  With guard bits
+# clear in both, s divides t exactly when ``(t - s) & exp_guards`` is
+# 0, since a negative exponent field borrows through its own guard bit.
+#
+# No field of a term exceeds its weighted degree, the sum of e_i times
+# the largest weight of variable i (at least 1).  ``bits`` holds four
+# times the largest weighted degree of an input term, rounded up to a
+# power of two of at least 8.  Every product formed is checked for a
+# set guard bit through the field-wise largest term of the
+# multiplicand; a set bit means the width was too small, and the whole
+# call reruns at twice the width.
 
 
-def _strip_content(work: Dict[PowerProduct, int], remainder: Dict[PowerProduct, int]) -> None:
+class _WidthExceeded(Exception):
+    pass
+
+
+def _weight_bounds(order: TermOrder) -> List[int]:
+    rows = order.weights()
+    return [max([1] + [row[i] for row in rows]) for i in range(order.n)]
+
+
+class _Packing:
+    """Packed terms of one ordering at one field width."""
+
+    __slots__ = ("bounds", "units", "limit", "shifts", "exp_shifts", "guards", "exp_guards")
+
+    def __init__(self, order: TermOrder, bits: int):
+        n, rows = order.n, order.weights()
+        width = bits + 1
+        self.shifts = [width * k for k in range(len(rows) + n)]
+        self.exp_shifts = self.shifts[:n]
+        # variable i packed: column i of the rows above a 1 in field i
+        self.units = [
+            sum(row[i] << self.shifts[-1 - r] for r, row in enumerate(rows)) + (1 << self.shifts[i])
+            for i in range(n)
+        ]
+        self.bounds = _weight_bounds(order)
+        self.limit = (1 << bits) - 1
+        self.guards = sum(1 << (k + bits) for k in self.shifts)
+        self.exp_guards = sum(1 << (k + bits) for k in self.exp_shifts)
+
+    def pack(self, t: PowerProduct) -> int:
+        if sum(map(operator.mul, self.bounds, t)) > self.limit:
+            raise _WidthExceeded
+        return sum(map(operator.mul, self.units, t))
+
+    def unpack(self, v: int) -> PowerProduct:
+        limit = self.limit
+        return tuple((v >> k) & limit for k in self.exp_shifts)
+
+    def top(self, terms: Sequence[int]) -> int:
+        """The field-wise largest of the terms, as a packed int."""
+        limit = self.limit
+        return sum(max([(u >> k) & limit for u in terms], default=0) << k for k in self.shifts)
+
+    def reducer(self, terms: Dict[int, int]) -> tuple:
+        lt = max(terms)
+        tail = [(u, c) for u, c in terms.items() if u != lt]
+        return lt, terms[lt], tail, self.top([u for u, _ in tail])
+
+
+def _packed_call(order: TermOrder, polys: Sequence[Polynomial], run):
+    """``run(packing)`` at the input's width, rerun wider until no
+    product overflows."""
+    bounds = _weight_bounds(order)
+    largest = max(sum(map(operator.mul, bounds, t)) for g in polys for t in g.terms)
+    bits = 8
+    while bits < (4 * largest).bit_length():
+        bits *= 2
+    while True:
+        try:
+            return run(_Packing(order, bits))
+        except _WidthExceeded:
+            bits *= 2
+
+
+def _rational(polys: Sequence[Polynomial]) -> bool:
+    return all(isinstance(c, Fraction) for g in polys for c in g.terms.values())
+
+
+def _content_one(terms: Dict[int, int]) -> Dict[int, int]:
+    """Divide out the integer content; the leading coefficient ends positive."""
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    if g == 1:
+        return terms
+    return {u: v // g for u, v in terms.items()}
+
+
+def _packed_ints(pk: _Packing, f: Polynomial) -> Dict[int, int]:
+    """Packed integer terms of a rational polynomial, content 1."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return _content_one({pk.pack(t): c.numerator * (den // c.denominator) for t, c in f.terms.items()})
+
+
+def _strip_content(work: Dict[int, int], remainder: Dict[int, int]) -> None:
     g = 0
     for v in work.values():
         g = math.gcd(g, v)
@@ -246,56 +344,32 @@ def _strip_content(work: Dict[PowerProduct, int], remainder: Dict[PowerProduct, 
             remainder[u] //= g
 
 
-def _int_spair(order, fterms: Dict[PowerProduct, int], ft: PowerProduct,
-               gterms: Dict[PowerProduct, int], gt: PowerProduct) -> Dict[PowerProduct, int]:
-    """An integer multiple of the S-polynomial; the lcm terms cancel."""
-    l = pp_lcm(ft, gt)
-    qf, qg = pp_div(l, ft), pp_div(l, gt)
-    fc, gc = fterms[ft], gterms[gt]
-    d = math.gcd(fc, gc)
-    a, b = gc // d, fc // d
-    out: Dict[PowerProduct, int] = {pp_mul(s, qf): a * c for s, c in fterms.items()}
-    for s, c in gterms.items():
-        u = pp_mul(s, qg)
-        cur = out.get(u)
-        value = (cur - b * c) if cur is not None else -b * c
-        if value:
-            out[u] = value
-        elif cur is not None:
-            del out[u]
-    return out
-
-
-def _reduce_int(order: TermOrder, sterms: Dict[PowerProduct, int],
-                red: Sequence[Tuple[PowerProduct, int, Dict[PowerProduct, int]]]
-                ) -> Dict[PowerProduct, int]:
-    """Pseudo-remainder by content-1 integer reducers: a positive integer
-    multiple of the normal form.  Instead of dividing by a leading
-    coefficient, the pending polynomial is scaled up by the smallest
-    factor making the division exact; content is stripped periodically
-    to keep the integers from compounding."""
-    work = dict(sterms)
-    remainder: Dict[PowerProduct, int] = {}
-    key = order.key
-    heap = [_TopTerm(key(t), t) for t in work]
+def _reduce(pk: _Packing, work: Dict[int, int], red: Sequence[tuple]) -> Dict[int, int]:
+    """Pseudo-remainder of the packed integer polynomial ``work`` (which
+    is consumed) by the reducers ``(lt, lc, tail, top)``: a positive
+    integer multiple of the normal form.  Content is stripped
+    periodically to keep the integers from compounding."""
+    divisible, guards = pk.exp_guards, pk.guards
+    heap = [-t for t in work]
     heapq.heapify(heap)
+    pop, push, gcd = heapq.heappop, heapq.heappush, math.gcd
+    remainder: Dict[int, int] = {}
     steps = 0
     while heap:
-        t = heapq.heappop(heap).term
-        if t not in work:
+        t = -pop(heap)
+        c = work.pop(t, 0)
+        if not c:
             continue
-        c = work.pop(t)
-        quotient = None
-        for lt, lc, gterms in red:
-            q = pp_div(t, lt)
-            if q is not None:
-                quotient = (lt, lc, gterms, q)
+        for lt, lc, tail, top in red:
+            q = t - lt
+            if not q & divisible:
                 break
-        if quotient is None:
+        else:
             remainder[t] = c
             continue
-        lt, lc, gterms, q = quotient
-        d = math.gcd(c, lc)
+        if (top + q) & guards:
+            raise _WidthExceeded
+        d = gcd(c, lc)
         scale, factor = abs(lc // d), c // d
         if lc < 0:
             factor = -factor
@@ -304,16 +378,12 @@ def _reduce_int(order: TermOrder, sterms: Dict[PowerProduct, int],
                 work[u] *= scale
             for u in remainder:
                 remainder[u] *= scale
-        for s, cg in gterms.items():
-            if s == lt:
-                continue
-            u = pp_mul(s, q)
+        for u, cg in tail:
+            u += q
             cur = work.get(u)
             if cur is None:
-                value = -factor * cg
-                if value:
-                    work[u] = value
-                    heapq.heappush(heap, _TopTerm(key(u), u))
+                work[u] = -factor * cg
+                push(heap, -u)
             else:
                 value = cur - factor * cg
                 if value:
@@ -326,18 +396,112 @@ def _reduce_int(order: TermOrder, sterms: Dict[PowerProduct, int],
     return remainder
 
 
-def _int_view(f: Polynomial) -> Optional[Dict[PowerProduct, int]]:
-    # integer term dict of a content-normalized polynomial, or None when
-    # a coefficient is not a plain rational
-    out = {}
-    for t, c in f.terms.items():
-        if not isinstance(c, Fraction) or c.denominator != 1:
-            return None
-        out[t] = c.numerator
-    return out
+def _reduce_basis_packed(pk: _Packing, polys: Sequence[Polynomial]) -> List[Polynomial]:
+    """``reduce_basis`` over Q: minimalize, then reduce each element by
+    the others, the earlier ones already reduced."""
+    divisible = pk.exp_guards
+    kept: List[Dict[int, int]] = []
+    kept_lts: List[int] = []
+    for terms in sorted((_packed_ints(pk, g) for g in polys), key=max):
+        lt = max(terms)
+        if all((lt - s) & divisible for s in kept_lts):
+            kept.append(terms)
+            kept_lts.append(lt)
+    red = [pk.reducer(terms) for terms in kept]
+    reduced = []
+    for idx, terms in enumerate(kept):
+        rem = _reduce(pk, terms, red[:idx] + red[idx + 1:])
+        red[idx] = pk.reducer(rem)
+        lc = red[idx][1]
+        reduced.append(Polynomial(polys[0].ring, {pk.unpack(u): Fraction(c, lc) for u, c in rem.items()}))
+    return reduced
 
 
 # -- Buchberger ------------------------------------------------------
+
+
+class _Pairs:
+    """The pair queue of one Buchberger run, over the leading terms added
+    so far.  Each pair is ranked once at creation; iterating pops them in
+    the normal-strategy order (lcm degree, then the ordering, then index)
+    and yields ``(i, j, rank)`` for those that pass the coprime and chain
+    criteria.  ``rank`` maps an lcm to its place in the ordering, and
+    ``dividers(rank)`` lists the indices of the leading terms dividing it."""
+
+    def __init__(self, rank, dividers):
+        self.rank = rank
+        self.dividers = dividers
+        self.lts: List[PowerProduct] = []
+        self.pending: Set[Tuple[int, int]] = set()
+        self.queue: List[tuple] = []
+
+    def add(self, lt: PowerProduct) -> None:
+        j = len(self.lts)
+        self.lts.append(lt)
+        for i in range(j):
+            l = pp_lcm(self.lts[i], lt)
+            self.pending.add((i, j))
+            heapq.heappush(self.queue, (pp_degree(l), self.rank(l), i, j))
+
+    def __iter__(self):
+        pending = self.pending
+        while self.queue:
+            _, l, i, j = heapq.heappop(self.queue)
+            pending.remove((i, j))
+            if pp_coprime(self.lts[i], self.lts[j]):
+                continue
+            chained = any(
+                k not in (i, j) and (min(i, k), max(i, k)) not in pending
+                and (min(j, k), max(j, k)) not in pending
+                for k in self.dividers(l)
+            )
+            if not chained:
+                yield i, j, l
+
+
+def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial]) -> List[Polynomial]:
+    """``buchberger`` over Q with normalization on."""
+    divisible, guards = pk.exp_guards, pk.guards
+    elems: List[Dict[int, int]] = []
+    red: List[tuple] = []
+    pairs = _Pairs(pk.pack, lambda l: [k for k, r in enumerate(red) if not (l - r[0]) & divisible])
+
+    def store(terms: Dict[int, int]) -> None:
+        elems.append(terms)
+        red.append(pk.reducer(terms))
+        pairs.add(pk.unpack(red[-1][0]))
+
+    for g in gens:
+        store(_packed_ints(pk, g))
+    for i, j, l in pairs:
+        # an integer multiple of the S-polynomial; the lcm terms cancel
+        fi, fc, _, fi_top = red[i]
+        gj, gc, _, gj_top = red[j]
+        qf, qg = l - fi, l - gj
+        if (fi_top + qf) & guards or (gj_top + qg) & guards:
+            raise _WidthExceeded
+        d = math.gcd(fc, gc)
+        a, b = gc // d, fc // d
+        spair = {u + qf: a * c for u, c in elems[i].items()}
+        for u, c in elems[j].items():
+            u += qg
+            value = spair.get(u, 0) - b * c
+            if value:
+                spair[u] = value
+            else:
+                spair.pop(u, None)
+        rem = _reduce(pk, spair, red)
+        if rem:
+            store(_content_one(rem))
+    ring = gens[0].ring
+    return [Polynomial(ring, {pk.unpack(u): Fraction(c) for u, c in e.items()}) for e in elems]
+
+
+def _store(f: Polynomial, order: TermOrder, normalize: bool) -> Polynomial:
+    lc = f.leading_term(order)[0]
+    if normalize and isinstance(lc, Fraction):
+        return integer_normalize(f, order)
+    return f.monic(order)
 
 
 def buchberger(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> List[Polynomial]:
@@ -348,66 +512,23 @@ def buchberger(order: TermOrder, generators: Sequence[Polynomial], normalize: bo
     integer content 1 (rational coefficients only); it never changes the
     reduced basis obtained afterwards.
     """
-    basis: List[Polynomial] = []
-    for g in generators:
-        if g:
-            basis.append(_store(g, order, normalize))
-    if not basis:
+    gens = [g for g in generators if g]
+    if not gens:
         raise ValueError("Groebner basis of the zero ideal is undefined; no nonzero generators")
-    lts: List[PowerProduct] = [g.leading_power_product(order) for g in basis]
-    ints: Optional[List[Dict[PowerProduct, int]]] = None
-    if normalize:
-        views = [_int_view(g) for g in basis]
-        if all(v is not None for v in views):
-            ints = views
-    # each pair is ranked once at creation; the heap pops them in the
-    # normal-strategy order (lcm degree, then the ordering, then index)
-    pending: Set[Tuple[int, int]] = set()
-    queue: List[tuple] = []
-
-    def enqueue(i: int, j: int) -> None:
-        l = pp_lcm(lts[i], lts[j])
-        pending.add((i, j))
-        heapq.heappush(queue, (pp_degree(l), order.key(l), i, j))
-
-    for j in range(len(basis)):
-        for i in range(j):
-            enqueue(i, j)
-
-    while queue:
-        _, _, i, j = heapq.heappop(queue)
-        pending.remove((i, j))
-        ti, tj = lts[i], lts[j]
-        if pp_coprime(ti, tj):
-            continue
-        l = pp_lcm(ti, tj)
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not pp_divides(lts[k], l):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pending and b not in pending:
-                skip = True
-                break
-        if skip:
-            continue
-        if ints is not None:
-            red = [(lts[k], ints[k][lts[k]], ints[k]) for k in range(len(basis))]
-            rem = _reduce_int(order, _int_spair(order, ints[i], ti, ints[j], tj), red)
-            if not rem:
-                continue
-            h = Polynomial(basis[0].ring, {t: Fraction(v) for t, v in rem.items()})
-        else:
-            h = normal_form(order, spolynomial(order, basis[i], basis[j]), basis)
+    if normalize and _rational(gens):
+        return _packed_call(order, gens, lambda pk: _buchberger_packed(pk, gens))
+    basis: List[Polynomial] = []
+    # the lcm's key first, so the lcm itself never decides a comparison
+    pairs = _Pairs(lambda l: (order.key(l), l),
+                   lambda rank: [k for k, t in enumerate(pairs.lts) if pp_divides(t, rank[1])])
+    for g in gens:
+        basis.append(_store(g, order, normalize))
+        pairs.add(basis[-1].leading_power_product(order))
+    for i, j, _ in pairs:
+        h = normal_form(order, spolynomial(order, basis[i], basis[j]), basis)
         if h:
-            h = _store(h, order, normalize)
-            basis.append(h)
-            lts.append(h.leading_power_product(order))
-            if ints is not None:
-                ints.append(_int_view(h))
-            for k in range(len(basis) - 1):
-                enqueue(k, len(basis) - 1)
+            basis.append(_store(h, order, normalize))
+            pairs.add(basis[-1].leading_power_product(order))
     return basis
 
 
@@ -418,23 +539,21 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
     sorted by ascending leading term.
     """
     nonzero = [g for g in polys if g]
-    ranked = sorted(nonzero, key=lambda g: order.key(g.leading_power_product(order)))
-    kept: List[Polynomial] = []
-    kept_lts: List[PowerProduct] = []
-    for g in ranked:
-        lt = g.leading_power_product(order)
-        if any(pp_divides(s, lt) for s in kept_lts):
-            continue
-        kept.append(g)
-        kept_lts.append(lt)
     # One pass suffices: leading terms are pairwise non-divisible, so
     # division never disturbs them, and the reduced basis is unique.
-    reduced: List[Polynomial] = []
+    if nonzero and _rational(nonzero):
+        reduced = _packed_call(order, nonzero, lambda pk: _reduce_basis_packed(pk, nonzero))
+        return GroebnerBasis(order, tuple(reduced), is_minimal=True, is_reduced=True)
+    kept: List[Polynomial] = []
+    kept_lts: List[PowerProduct] = []
+    for g in sorted(nonzero, key=lambda g: order.key(g.leading_power_product(order))):
+        lt = g.leading_power_product(order)
+        if not any(pp_divides(s, lt) for s in kept_lts):
+            kept.append(g)
+            kept_lts.append(lt)
     for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1:]
-        reduced.append(normal_form(order, g, others).monic(order))
-        kept[idx] = reduced[idx]
-    return GroebnerBasis(order, tuple(reduced), is_minimal=True, is_reduced=True)
+        kept[idx] = normal_form(order, g, kept[:idx] + kept[idx + 1:]).monic(order)
+    return GroebnerBasis(order, tuple(kept), is_minimal=True, is_reduced=True)
 
 
 def groebner_basis(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> GroebnerBasis:

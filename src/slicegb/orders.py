@@ -15,7 +15,7 @@ coincides with DegRevLex.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .rings import PowerProduct, Ring, pp_degree
 
@@ -24,13 +24,32 @@ def _revneg(t: Iterable[int]) -> Tuple[int, ...]:
     return tuple(-e for e in reversed(tuple(t)))
 
 
+Weights = Tuple[Tuple[int, ...], ...]
+
+
+def _unit_rows(n: int, block: Iterable[int]) -> Weights:
+    return tuple(tuple(int(i == j) for i in range(n)) for j in block)
+
+
+def _revlex_rows(n: int, block: Sequence[int]) -> Weights:
+    # (deg, deg - e_last, ...) on the block: prefix sums, longest first
+    return tuple(tuple(int(i in block[:k]) for i in range(n)) for k in range(len(block), 0, -1))
+
+
 class TermOrder:
-    """Base class; subclasses define ``key`` and carry the arity ``n``."""
+    """Base class; subclasses define ``key`` and ``weights`` and carry
+    the arity ``n``."""
 
     n: int
     name: str
 
     def key(self, t: PowerProduct):
+        raise NotImplementedError
+
+    def weights(self) -> Weights:
+        """Non-negative integer rows W, invertible as a matrix, such that
+        s is below t exactly when the vector W s is lexicographically
+        below W t."""
         raise NotImplementedError
 
     def compare(self, s: PowerProduct, t: PowerProduct) -> int:
@@ -72,6 +91,9 @@ class Lex(TermOrder):
     def key(self, t: PowerProduct):
         return t
 
+    def weights(self) -> Weights:
+        return _unit_rows(self.n, range(self.n))
+
     def restrict(self, i: int) -> "Lex":
         return Lex(self.n - 1)
 
@@ -84,6 +106,9 @@ class DegLex(TermOrder):
     def key(self, t: PowerProduct):
         return (pp_degree(t), t)
 
+    def weights(self) -> Weights:
+        return ((1,) * self.n,) + _unit_rows(self.n, range(self.n - 1))
+
     def restrict(self, i: int) -> "DegLex":
         return DegLex(self.n - 1)
 
@@ -95,6 +120,9 @@ class DegRevLex(TermOrder):
 
     def key(self, t: PowerProduct):
         return (pp_degree(t), _revneg(t))
+
+    def weights(self) -> Weights:
+        return _revlex_rows(self.n, range(self.n))
 
     def restrict(self, i: int) -> "DegRevLex":
         return DegRevLex(self.n - 1)
@@ -115,6 +143,10 @@ class PivotDegRev(TermOrder):
         i = self.pivot
         permuted = t[:i] + t[i + 1:] + (t[i],)
         return (pp_degree(t), _revneg(permuted))
+
+    def weights(self) -> Weights:
+        i = self.pivot
+        return _revlex_rows(self.n, tuple(range(i)) + tuple(range(i + 1, self.n)) + (i,))
 
     def restrict(self, i: int) -> TermOrder:
         if i == self.pivot:
@@ -146,6 +178,9 @@ class Elim(TermOrder):
         f = tuple(t[i] for i in self.front)
         b = tuple(t[i] for i in self._back)
         return (sum(f), _revneg(f), sum(b), _revneg(b))
+
+    def weights(self) -> Weights:
+        return _revlex_rows(self.n, self.front) + _revlex_rows(self.n, self._back)
 
     def restrict(self, i: int) -> "Elim":
         front = [j if j < i else j - 1 for j in self.front if j != i]

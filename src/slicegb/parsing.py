@@ -8,6 +8,7 @@ Grammar (whitespace between tokens is ignored):
     rational := nat ["/" nat]
 
 Products need an explicit "*"; "/" only joins two integer literals.
+Parentheses nest at most ``MAX_NESTING`` deep.
 ``format_polynomial`` emits terms in descending order so that
 ``parse_polynomial(format_polynomial(order, f)) == f``.
 """
@@ -42,6 +43,10 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+/-]))")
 
 Token = Tuple[str, str, SourceSpan]  # kind, value, span
 
+# each level costs three frames of the recursive descent; this keeps a
+# parse well inside Python's default recursion limit
+MAX_NESTING = 100
+
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
@@ -71,6 +76,7 @@ class _Parser:
         self.ring = ring
         self.text = text
         self.tokens = _tokenize(text)
+        self.depth = 0
 
     def peek(self, pos: int) -> Token:
         return self.tokens[pos]
@@ -135,7 +141,11 @@ class _Parser:
                 return var ** int(evalue), pos + 2
             return var, pos
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                self.fail(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner, pos = self.poly(pos + 1)
+            self.depth -= 1
             kind, value, _ = self.peek(pos)
             if not (kind == "op" and value == ")"):
                 self.fail("expected ')'", pos)

@@ -515,22 +515,6 @@ def gamma_stream(offset: Optional[int] = None) -> Iterator[Fraction]:
         k += 1
 
 
-def graph_ideal(param_ring: Ring, coord_ring: Ring, images: Sequence[Polynomial]) -> Ideal:
-    """The ideal (x_j - p_j) in the combined ring, parameters first."""
-    if len(images) != coord_ring.arity:
-        raise ValueError("one coordinate image per variable required")
-    for img in images:
-        if img.ring != param_ring:
-            raise ValueError("coordinate images must live in the parameter ring")
-    combined = param_ring.concat(coord_ring)
-    pad = (0,) * coord_ring.arity
-    gens = []
-    for name, image in zip(coord_ring.names, images):
-        embedded = Polynomial(combined, {t + pad: c for t, c in image.terms.items()})
-        gens.append(Polynomial.variable(combined, name) - embedded)
-    return Ideal.of(combined, gens)
-
-
 def _eliminate_params(param_ring: Ring, keep: Ring, pairs, extra=()) -> Ideal:
     """Eliminate the parameters from (name - image) plus parameter-only
     constraints; the result lives in the kept ring."""

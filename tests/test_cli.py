@@ -3,11 +3,15 @@ files, including the exit-code taxonomy and byte-stable reruns."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import slicegb
 from slicegb.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -269,6 +273,17 @@ def test_missing_file_exits_1():
 def test_bad_polynomial_exits_1():
     code, _, err = run("nf", path("twisted_surface.txt"), "x^2 +")
     assert code == 1 and "error:" in err
+
+
+def test_deeply_nested_polynomial_exits_1(tmp_path):
+    # a fresh interpreter, so that an uncaught error would print its traceback
+    deep = tmp_path / "deep.txt"
+    deep.write_text("QQ[x,y]\n" + "(" * 3000 + "x" + ")" * 3000 + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(slicegb.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "slicegb", "gb", str(deep)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_broken_json_exits_1(tmp_path):

@@ -32,7 +32,8 @@ from slicegb.groebner import (
     reduce_basis,
     spolynomial,
 )
-from slicegb.orders import DegRevLex, Elim, Lex
+from slicegb import groebner
+from slicegb.orders import DegLex, DegRevLex, Elim, Lex, PivotDegRev
 from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial
 from slicegb.rings import pp_divides, pp_gcd, ring
@@ -169,12 +170,97 @@ def test_reduced_basis_ignores_generator_presentation(gens, rng):
     assert groebner_basis(O2, scaled).elements == gb.elements
 
 
+def interreduce_by_normal_form(order, polys):
+    """The reduced basis by ``normal_form`` over Fractions: the generic
+    division that the packed integer kernel must agree with."""
+    kept = []
+    for g in sorted(polys, key=lambda g: order.key(g.leading_power_product(order))):
+        if not any(pp_divides(h.leading_power_product(order), g.leading_power_product(order)) for h in kept):
+            kept.append(g)
+    for idx, g in enumerate(kept):
+        kept[idx] = normal_form(order, g, kept[:idx] + kept[idx + 1:]).monic(order)
+    return kept
+
+
+def assert_paths_agree(order, gens):
+    packed = buchberger(order, gens, normalize=True)
+    generic = buchberger(order, gens, normalize=False)
+    # same pairs, same reducers: the stored elements agree up to a constant
+    assert packed == [integer_normalize(g, order) for g in generic]
+    a = groebner_basis(order, gens, normalize=True)
+    assert a.elements == groebner_basis(order, gens, normalize=False).elements
+    assert list(a.elements) == interreduce_by_normal_form(order, generic)
+
+
 @settings(max_examples=15, deadline=None)
 @given(small_ideals(R2))
 def test_content_normalization_flag_changes_nothing(gens):
-    a = groebner_basis(O2, gens, normalize=True)
-    b = groebner_basis(O2, gens, normalize=False)
-    assert a.elements == b.elements
+    assert_paths_agree(O2, gens)
+
+
+ORDERS3 = [
+    Lex(3), DegLex(3), DegRevLex(3),
+    PivotDegRev(3, 0), PivotDegRev(3, 1),
+    Elim(3, [0]), Elim(3, [0, 1]),
+]
+
+
+@pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
+@settings(max_examples=10, deadline=None)
+@given(small_ideals(R3))
+def test_content_normalization_flag_changes_nothing_across_orders(order, gens):
+    assert_paths_agree(order, gens)
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The field widths of the packings built, in order."""
+    seen = []
+    packing = groebner._Packing
+
+    def record(order, bits):
+        seen.append(bits)
+        return packing(order, bits)
+
+    monkeypatch.setattr(groebner, "_Packing", record)
+    return seen
+
+
+@pytest.mark.parametrize("order", [Lex(2), DegRevLex(2)], ids=lambda o: o.name)
+def test_exponent_wider_than_32_bits(order, widths):
+    # the coprime criterion skips the only pair
+    gens = [p("x^4294967296 - y", R2), p("y^2 - 1", R2)]
+    gb = groebner_basis(order, gens)
+    assert min(widths) > 32
+    assert basis_strings(gb) == ["y^2 -1", "x^4294967296 -y"]
+    assert gb.elements == groebner_basis(order, gens, normalize=False).elements
+
+
+@pytest.mark.parametrize("order, gens, last", [
+    # x^7 -> y^49 -> z^343 inside the reduction of the S-polynomial
+    (Lex(3), ["x^7 - 1", "x - y^7", "y - z^7"], "z^343 -1"),
+    # z^(n^2+1) - y^(n^2)*t in the degrevlex basis, n = 16
+    (DegRevLex(4), ["x^17 - y*z^15*t", "x*y^15 - z^16", "x^16*z - y^16*t"], "z^257 -y^256*t"),
+], ids=["lex", "degrevlex"])
+def test_products_wider_than_the_initial_packing(order, gens, last, widths):
+    r = ring(*("x", "y", "z", "t")[:order.n])
+    polys = [p(g, r) for g in gens]
+    basis = buchberger(order, polys)
+    assert len(set(widths)) > 1  # the first width overflowed and the call reran
+    assert last in basis_strings(reduce_basis(order, basis))
+    generic = buchberger(order, polys, normalize=False)
+    assert basis == [integer_normalize(g, order) for g in generic]
+    assert groebner_basis(order, polys).elements == groebner_basis(order, polys, normalize=False).elements
+
+
+def test_interreduction_products_wider_than_the_initial_packing(widths):
+    # w - x^7 reduces through x - z^49 to w - z^343
+    r = ring("w", "x", "y", "z")
+    polys = [p(g, r) for g in ["y - z^7", "x - y^7", "w - x^7"]]
+    gb = reduce_basis(Lex(4), polys)
+    assert len(widths) > 1  # the first width overflowed and the call reran
+    assert basis_strings(gb) == ["y -z^7", "x -z^49", "w -z^343"]
+    assert list(gb.elements) == interreduce_by_normal_form(Lex(4), polys)
 
 
 @settings(max_examples=25, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from helpers import polynomials
 from slicegb.orders import DegRevLex, Lex
 from slicegb.parsing import (
+    MAX_NESTING,
     IdealFile,
     ParseError,
     format_polynomial,
@@ -61,6 +62,16 @@ def test_parse_errors_have_spans(bad):
         parse_polynomial(R, bad)
     span = info.value.span
     assert 0 <= span.start <= span.end <= len(bad)
+
+
+def test_nesting_depth_is_bounded():
+    assert parse_polynomial(R, "(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse_polynomial(R, "x")
+    deep = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(R, deep)
+    assert info.value.span.start == MAX_NESTING
+    with pytest.raises(ParseError):
+        parse_polynomial(R, "(" * 3000 + "x" + ")" * 3000)
 
 
 def test_unknown_variable_span_points_at_it():
