@@ -251,9 +251,6 @@ def _cmd_common_lift(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    # --jobs is accepted for interface symmetry; the per-slice work
-    # already happened upstream of a slice file, so there is nothing
-    # left to fan out.
     sf = load_slice_file(_read(args.file))
     order = order_by_name(sf.family.ring, args.order) if args.order else sf.order
     result = reconstruct_basis(sf.family, sf.slice_bases, order)
@@ -476,7 +473,6 @@ def _build() -> argparse.ArgumentParser:
 
     p = with_order(cmd("reconstruct", _cmd_reconstruct,
                        "rebuild a basis from reduced bases of parallel slices"))
-    p.add_argument("--jobs", type=int, default=1, metavar="K")
     p.add_argument("file")
 
     p = with_order(cmd("implicitize", _cmd_implicitize,

@@ -97,59 +97,6 @@ class _TopTerm:
         return self.key > other.key
 
 
-def normal_form(order: TermOrder, f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
-    """Full remainder of ``f`` under division by ``reducers``.
-
-    The pending terms sit in a max-heap with lazy deletion; rewriting
-    only creates terms below the one being rewritten, so surviving pops
-    come out in strictly decreasing order and the remainder never sees
-    the same term twice.
-    """
-    red = []
-    for g in reducers:
-        if g:
-            lc, lt = g.leading_term(order)
-            red.append((lt, lc, g.terms))
-    work = dict(f.terms)
-    remainder: Dict[PowerProduct, object] = {}
-    key = order.key
-    heap = [_TopTerm(key(t), t) for t in work]
-    heapq.heapify(heap)
-    while heap:
-        t = heapq.heappop(heap).term
-        if t not in work:
-            continue
-        c = work.pop(t)
-        quotient = None
-        for lt, lc, gterms in red:
-            q = pp_div(t, lt)
-            if q is not None:
-                quotient = (lt, lc, gterms, q)
-                break
-        if quotient is None:
-            remainder[t] = c
-            continue
-        lt, lc, gterms, q = quotient
-        factor = c / lc
-        for s, cg in gterms.items():
-            if s == lt:
-                continue
-            u = pp_mul(s, q)
-            cur = work.get(u)
-            if cur is None:
-                value = -(factor * cg)
-                if value:
-                    work[u] = value
-                    heapq.heappush(heap, _TopTerm(key(u), u))
-            else:
-                value = cur - factor * cg
-                if value:
-                    work[u] = value
-                else:
-                    del work[u]
-    return Polynomial(f.ring, remainder)
-
-
 def exact_divide(f: Polynomial, g: Polynomial, order: TermOrder = None) -> Polynomial:
     """The quotient f/g; raises when g does not divide f."""
     if not g:
@@ -214,18 +161,26 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
     return f.scale(scale)
 
 
-# -- packed integer kernel -------------------------------------------
+# -- packed division kernel ------------------------------------------
 #
-# Over Q, Buchberger with normalization on and the interreduction run on
-# integer coefficients and packed terms; Buchberger with
-# ``normalize=False`` and everything over Q(params) use ``normal_form``.
-# A remainder is rescaled to integer content 1 (or made monic) right
-# away, so any positive multiple of the true normal form serves: instead
-# of dividing by a leading coefficient, the pending polynomial is scaled
-# up by the smallest factor making the division exact, which avoids the
-# gcd that every Fraction operation performs.  Reducers are tried in
-# list order on the largest pending term, as in ``normal_form``, so both
-# paths store the same elements up to constant factors.
+# ``buchberger``, ``reduce_basis`` and ``normal_form`` all divide in one
+# loop, ``_reduce``, on packed terms.  Reducers are tried in list order
+# on the largest pending term.  What a division step does to the
+# coefficients is set by one of two step classes:
+#
+# - ``_Integers``, for Buchberger over Q with normalization on and for
+#   the interreduction over Q.  Coefficients are ints.  A remainder is
+#   rescaled to content 1 right away, so any positive multiple of the
+#   normal form serves: instead of dividing by a leading coefficient,
+#   the pending polynomial is scaled up by the smallest factor making
+#   the division exact, which avoids the gcd that every Fraction
+#   operation performs.
+# - ``_Field``, for Q(params) (``RationalFunction`` coefficients), for
+#   ``normalize=False`` and for ``normal_form``.  The step divides by
+#   the reducer's leading coefficient, so the remainder is the normal
+#   form itself, and stored elements are monic.
+#
+# Both steps thus store the same elements up to constant factors.
 #
 # A term is one plain int made of fields of ``bits`` value bits plus a
 # guard bit each: the order's weight rows (most significant first),
@@ -241,6 +196,11 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # set guard bit through the field-wise largest term of the
 # multiplicand; a set bit means the width was too small, and the whole
 # call reruns at twice the width.
+#
+# ``exact_divide`` stays on exponent tuples.  Most of its calls come
+# from the gcd in every ``RationalFunction`` construction and divide
+# tiny polynomials, often a monomial by a monomial, where building a
+# packing per call costs several times the division itself.
 
 
 class _WidthExceeded(Exception):
@@ -281,12 +241,15 @@ class _Packing:
         limit = self.limit
         return tuple((v >> k) & limit for k in self.exp_shifts)
 
+    def polynomial(self, ring: Ring, terms: Dict[int, object]) -> Polynomial:
+        return Polynomial(ring, {self.unpack(u): c for u, c in terms.items()})
+
     def top(self, terms: Sequence[int]) -> int:
         """The field-wise largest of the terms, as a packed int."""
         limit = self.limit
         return sum(max([(u >> k) & limit for u in terms], default=0) << k for k in self.shifts)
 
-    def reducer(self, terms: Dict[int, int]) -> tuple:
+    def reducer(self, terms: Dict[int, object]) -> tuple:
         lt = max(terms)
         tail = [(u, c) for u, c in terms.items() if u != lt]
         return lt, terms[lt], tail, self.top([u for u, _ in tail])
@@ -296,7 +259,7 @@ def _packed_call(order: TermOrder, polys: Sequence[Polynomial], run):
     """``run(packing)`` at the input's width, rerun wider until no
     product overflows."""
     bounds = _weight_bounds(order)
-    largest = max(sum(map(operator.mul, bounds, t)) for g in polys for t in g.terms)
+    largest = max((sum(map(operator.mul, bounds, t)) for g in polys for t in g.terms), default=0)
     bits = 8
     while bits < (4 * largest).bit_length():
         bits *= 2
@@ -321,12 +284,6 @@ def _content_one(terms: Dict[int, int]) -> Dict[int, int]:
     return {u: v // g for u, v in terms.items()}
 
 
-def _packed_ints(pk: _Packing, f: Polynomial) -> Dict[int, int]:
-    """Packed integer terms of a rational polynomial, content 1."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return _content_one({pk.pack(t): c.numerator * (den // c.denominator) for t, c in f.terms.items()})
-
-
 def _strip_content(work: Dict[int, int], remainder: Dict[int, int]) -> None:
     g = 0
     for v in work.values():
@@ -344,16 +301,97 @@ def _strip_content(work: Dict[int, int], remainder: Dict[int, int]) -> None:
             remainder[u] //= g
 
 
-def _reduce(pk: _Packing, work: Dict[int, int], red: Sequence[tuple]) -> Dict[int, int]:
-    """Pseudo-remainder of the packed integer polynomial ``work`` (which
-    is consumed) by the reducers ``(lt, lc, tail, top)``: a positive
-    integer multiple of the normal form.  Content is stripped
-    periodically to keep the integers from compounding."""
+class _Integers:
+    """The pseudo-division step over Q: int coefficients, and stored
+    elements of content 1 with a positive leading coefficient."""
+
+    @staticmethod
+    def pack(pk: _Packing, f: Polynomial) -> Dict[int, int]:
+        den = math.lcm(*(c.denominator for c in f.terms.values()))
+        return _content_one({pk.pack(t): c.numerator * (den // c.denominator) for t, c in f.terms.items()})
+
+    @staticmethod
+    def divide(c: int, lc: int) -> Tuple[int, int]:
+        """The smallest ``scale > 0`` and the ``factor`` with
+        ``scale * c == factor * lc``."""
+        d = math.gcd(c, lc)
+        factor = c // d
+        return abs(lc // d), -factor if lc < 0 else factor
+
+    # every 64 steps, to keep the integers from compounding
+    strip = staticmethod(_strip_content)
+    normalize = staticmethod(_content_one)
+
+    @staticmethod
+    def to_field(terms: Dict[int, int], lc: int = 1) -> Dict[int, Fraction]:
+        """The coefficients divided by ``lc``, as Fractions."""
+        return {u: Fraction(c, lc) for u, c in terms.items()}
+
+
+class _Field:
+    """The division step over a field: divide by the leading
+    coefficient, and store monic elements."""
+
+    @staticmethod
+    def pack(pk: _Packing, f: Polynomial) -> Dict[int, object]:
+        return {pk.pack(t): c for t, c in f.terms.items()}
+
+    @staticmethod
+    def divide(c, lc) -> tuple:
+        return 1, c / lc
+
+    @staticmethod
+    def strip(work: Dict[int, object], remainder: Dict[int, object]) -> None:
+        pass
+
+    @staticmethod
+    def to_field(terms: Dict[int, object], lc=1) -> Dict[int, object]:
+        """The coefficients divided by ``lc``, as ``Polynomial.monic``
+        divides them."""
+        if lc == 1:
+            return terms
+        inv = 1 / lc
+        return {u: c * inv for u, c in terms.items()}
+
+    @staticmethod
+    def normalize(terms: Dict[int, object]) -> Dict[int, object]:
+        return _Field.to_field(terms, terms[max(terms)])
+
+
+def _subtract(step, work: dict, remainder: dict, heap: List[int], c, lc, tail, q: int) -> None:
+    """One division step: the term ``c`` at ``lt + q``, already taken
+    out of ``work``, cancels against the reducer ``lc * lt + tail``
+    shifted by ``q``.  New terms of ``work`` are pushed on ``heap``."""
+    scale, factor = step.divide(c, lc)
+    if scale != 1:
+        for u in work:
+            work[u] *= scale
+        for u in remainder:
+            remainder[u] *= scale
+    push = heapq.heappush
+    for u, cg in tail:
+        u += q
+        cur = work.get(u)
+        if cur is None:
+            work[u] = -(factor * cg)
+            push(heap, -u)
+        else:
+            value = cur - factor * cg
+            if value:
+                work[u] = value
+            else:
+                del work[u]
+
+
+def _reduce(pk: _Packing, work: dict, red: Sequence[tuple], step) -> dict:
+    """Remainder of the packed polynomial ``work`` (which is consumed) by
+    the reducers ``(lt, lc, tail, top)``; the ``_Integers`` step gives a
+    positive integer multiple of it."""
     divisible, guards = pk.exp_guards, pk.guards
     heap = [-t for t in work]
     heapq.heapify(heap)
-    pop, push, gcd = heapq.heappop, heapq.heappush, math.gcd
-    remainder: Dict[int, int] = {}
+    pop = heapq.heappop
+    remainder: dict = {}
     steps = 0
     while heap:
         t = -pop(heap)
@@ -369,139 +407,118 @@ def _reduce(pk: _Packing, work: Dict[int, int], red: Sequence[tuple]) -> Dict[in
             continue
         if (top + q) & guards:
             raise _WidthExceeded
-        d = gcd(c, lc)
-        scale, factor = abs(lc // d), c // d
-        if lc < 0:
-            factor = -factor
-        if scale != 1:
-            for u in work:
-                work[u] *= scale
-            for u in remainder:
-                remainder[u] *= scale
-        for u, cg in tail:
-            u += q
-            cur = work.get(u)
-            if cur is None:
-                work[u] = -factor * cg
-                push(heap, -u)
-            else:
-                value = cur - factor * cg
-                if value:
-                    work[u] = value
-                else:
-                    del work[u]
+        _subtract(step, work, remainder, heap, c, lc, tail, q)
         steps += 1
         if steps % 64 == 0:
-            _strip_content(work, remainder)
+            step.strip(work, remainder)
     return remainder
 
 
-def _reduce_basis_packed(pk: _Packing, polys: Sequence[Polynomial]) -> List[Polynomial]:
-    """``reduce_basis`` over Q: minimalize, then reduce each element by
-    the others, the earlier ones already reduced."""
+def normal_form(order: TermOrder, f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+    """Full remainder of ``f`` under division by ``reducers``: the
+    largest reducible term is rewritten by the first reducer in list
+    order whose leading term divides it."""
+    reducers = [g for g in reducers if g]
+
+    def run(pk: _Packing) -> Polynomial:
+        red = [pk.reducer(_Field.pack(pk, g)) for g in reducers]
+        return pk.polynomial(f.ring, _reduce(pk, _Field.pack(pk, f), red, _Field))
+
+    return _packed_call(order, [f] + reducers, run)
+
+
+def _reduce_basis_packed(pk: _Packing, polys: Sequence[Polynomial], step) -> List[Polynomial]:
+    """Minimalize, then reduce each element by the others, the earlier
+    ones already reduced."""
     divisible = pk.exp_guards
-    kept: List[Dict[int, int]] = []
+    kept: List[dict] = []
     kept_lts: List[int] = []
-    for terms in sorted((_packed_ints(pk, g) for g in polys), key=max):
+    for terms in sorted((step.pack(pk, g) for g in polys), key=max):
         lt = max(terms)
         if all((lt - s) & divisible for s in kept_lts):
             kept.append(terms)
             kept_lts.append(lt)
     red = [pk.reducer(terms) for terms in kept]
-    reduced = []
     for idx, terms in enumerate(kept):
-        rem = _reduce(pk, terms, red[:idx] + red[idx + 1:])
-        red[idx] = pk.reducer(rem)
-        lc = red[idx][1]
-        reduced.append(Polynomial(polys[0].ring, {pk.unpack(u): Fraction(c, lc) for u, c in rem.items()}))
-    return reduced
+        kept[idx] = _reduce(pk, terms, red[:idx] + red[idx + 1:], step)
+        red[idx] = pk.reducer(kept[idx])
+    ring = polys[0].ring
+    return [pk.polynomial(ring, step.to_field(terms, lc)) for terms, (_, lc, _, _) in zip(kept, red)]
 
 
 # -- Buchberger ------------------------------------------------------
 
 
 class _Pairs:
-    """The pair queue of one Buchberger run, over the leading terms added
-    so far.  Each pair is ranked once at creation; iterating pops them in
-    the normal-strategy order (lcm degree, then the ordering, then index)
-    and yields ``(i, j, rank)`` for those that pass the coprime and chain
-    criteria.  ``rank`` maps an lcm to its place in the ordering, and
-    ``dividers(rank)`` lists the indices of the leading terms dividing it."""
+    """The pair queue of one Buchberger run, over the packed leading
+    terms added so far.  Each pair is ranked once at creation; iterating
+    pops them in the normal-strategy order (lcm degree, then the
+    ordering, then index) and yields ``(i, j, lcm)``, the lcm packed,
+    for those that pass the coprime and chain criteria."""
 
-    def __init__(self, rank, dividers):
-        self.rank = rank
-        self.dividers = dividers
-        self.lts: List[PowerProduct] = []
+    def __init__(self, pk: _Packing):
+        self.pk = pk
+        self.lts: List[int] = []
+        self.exps: List[PowerProduct] = []
         self.pending: Set[Tuple[int, int]] = set()
         self.queue: List[tuple] = []
 
-    def add(self, lt: PowerProduct) -> None:
+    def add(self, lt: int) -> None:
         j = len(self.lts)
+        t = self.pk.unpack(lt)
         self.lts.append(lt)
+        self.exps.append(t)
         for i in range(j):
-            l = pp_lcm(self.lts[i], lt)
+            l = pp_lcm(self.exps[i], t)
             self.pending.add((i, j))
-            heapq.heappush(self.queue, (pp_degree(l), self.rank(l), i, j))
+            heapq.heappush(self.queue, (pp_degree(l), self.pk.pack(l), i, j))
 
     def __iter__(self):
-        pending = self.pending
+        pending, divisible = self.pending, self.pk.exp_guards
         while self.queue:
             _, l, i, j = heapq.heappop(self.queue)
             pending.remove((i, j))
-            if pp_coprime(self.lts[i], self.lts[j]):
+            if pp_coprime(self.exps[i], self.exps[j]):
                 continue
             chained = any(
                 k not in (i, j) and (min(i, k), max(i, k)) not in pending
                 and (min(j, k), max(j, k)) not in pending
-                for k in self.dividers(l)
+                for k, s in enumerate(self.lts) if not (l - s) & divisible
             )
             if not chained:
                 yield i, j, l
 
 
-def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial]) -> List[Polynomial]:
-    """``buchberger`` over Q with normalization on."""
-    divisible, guards = pk.exp_guards, pk.guards
-    elems: List[Dict[int, int]] = []
+def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[Polynomial]:
+    """``buchberger`` on packed terms, in ``step``'s arithmetic."""
+    guards = pk.guards
+    elems: List[dict] = []
     red: List[tuple] = []
-    pairs = _Pairs(pk.pack, lambda l: [k for k, r in enumerate(red) if not (l - r[0]) & divisible])
+    pairs = _Pairs(pk)
 
-    def store(terms: Dict[int, int]) -> None:
+    def store(terms: dict) -> None:
+        terms = step.normalize(terms)
         elems.append(terms)
         red.append(pk.reducer(terms))
-        pairs.add(pk.unpack(red[-1][0]))
+        pairs.add(red[-1][0])
 
     for g in gens:
-        store(_packed_ints(pk, g))
+        store(step.pack(pk, g))
     for i, j, l in pairs:
-        # an integer multiple of the S-polynomial; the lcm terms cancel
-        fi, fc, _, fi_top = red[i]
-        gj, gc, _, gj_top = red[j]
+        fi, fc, f_tail, fi_top = red[i]
+        gj, gc, g_tail, gj_top = red[j]
         qf, qg = l - fi, l - gj
         if (fi_top + qf) & guards or (gj_top + qg) & guards:
             raise _WidthExceeded
-        d = math.gcd(fc, gc)
-        a, b = gc // d, fc // d
-        spair = {u + qf: a * c for u, c in elems[i].items()}
-        for u, c in elems[j].items():
-            u += qg
-            value = spair.get(u, 0) - b * c
-            if value:
-                spair[u] = value
-            else:
-                spair.pop(u, None)
-        rem = _reduce(pk, spair, red)
+        # a multiple of the S-polynomial: one division step of the lcm
+        # term of f shifted by qf against g; _reduce builds its own heap
+        spair = {u + qf: c for u, c in f_tail}
+        _subtract(step, spair, {}, [], fc, gc, g_tail, qg)
+        rem = _reduce(pk, spair, red, step)
         if rem:
-            store(_content_one(rem))
+            store(rem)
     ring = gens[0].ring
-    return [Polynomial(ring, {pk.unpack(u): Fraction(c) for u, c in e.items()}) for e in elems]
-
-
-def _store(f: Polynomial, order: TermOrder, normalize: bool) -> Polynomial:
-    lc = f.leading_term(order)[0]
-    if normalize and isinstance(lc, Fraction):
-        return integer_normalize(f, order)
-    return f.monic(order)
+    return [pk.polynomial(ring, step.to_field(e)) for e in elems]
 
 
 def buchberger(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> List[Polynomial]:
@@ -515,21 +532,8 @@ def buchberger(order: TermOrder, generators: Sequence[Polynomial], normalize: bo
     gens = [g for g in generators if g]
     if not gens:
         raise ValueError("Groebner basis of the zero ideal is undefined; no nonzero generators")
-    if normalize and _rational(gens):
-        return _packed_call(order, gens, lambda pk: _buchberger_packed(pk, gens))
-    basis: List[Polynomial] = []
-    # the lcm's key first, so the lcm itself never decides a comparison
-    pairs = _Pairs(lambda l: (order.key(l), l),
-                   lambda rank: [k for k, t in enumerate(pairs.lts) if pp_divides(t, rank[1])])
-    for g in gens:
-        basis.append(_store(g, order, normalize))
-        pairs.add(basis[-1].leading_power_product(order))
-    for i, j, _ in pairs:
-        h = normal_form(order, spolynomial(order, basis[i], basis[j]), basis)
-        if h:
-            basis.append(_store(h, order, normalize))
-            pairs.add(basis[-1].leading_power_product(order))
-    return basis
+    step = _Integers if normalize and _rational(gens) else _Field
+    return _packed_call(order, gens, lambda pk: _buchberger_packed(pk, gens, step))
 
 
 def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis:
@@ -539,21 +543,13 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
     sorted by ascending leading term.
     """
     nonzero = [g for g in polys if g]
+    if not nonzero:
+        return GroebnerBasis(order, (), is_minimal=True, is_reduced=True)
     # One pass suffices: leading terms are pairwise non-divisible, so
     # division never disturbs them, and the reduced basis is unique.
-    if nonzero and _rational(nonzero):
-        reduced = _packed_call(order, nonzero, lambda pk: _reduce_basis_packed(pk, nonzero))
-        return GroebnerBasis(order, tuple(reduced), is_minimal=True, is_reduced=True)
-    kept: List[Polynomial] = []
-    kept_lts: List[PowerProduct] = []
-    for g in sorted(nonzero, key=lambda g: order.key(g.leading_power_product(order))):
-        lt = g.leading_power_product(order)
-        if not any(pp_divides(s, lt) for s in kept_lts):
-            kept.append(g)
-            kept_lts.append(lt)
-    for idx, g in enumerate(kept):
-        kept[idx] = normal_form(order, g, kept[:idx] + kept[idx + 1:]).monic(order)
-    return GroebnerBasis(order, tuple(kept), is_minimal=True, is_reduced=True)
+    step = _Integers if _rational(nonzero) else _Field
+    reduced = _packed_call(order, nonzero, lambda pk: _reduce_basis_packed(pk, nonzero, step))
+    return GroebnerBasis(order, tuple(reduced), is_minimal=True, is_reduced=True)
 
 
 def groebner_basis(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> GroebnerBasis:

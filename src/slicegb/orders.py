@@ -226,7 +226,3 @@ def order_by_name(ring: Ring, spec: str) -> TermOrder:
         names = [v.strip() for v in spec.split(":", 1)[1].split(",") if v.strip()]
         return elim_order(ring, names)
     raise ValueError(f"unknown ordering {spec!r}")
-
-
-def compare_terms(order: TermOrder, s: PowerProduct, t: PowerProduct) -> int:
-    return order.compare(s, t)

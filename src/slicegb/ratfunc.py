@@ -109,17 +109,13 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 class RationalFunction:
     """A quotient of polynomials over Q in a common ring.
 
-    Instances normalise on construction: a reduced pair (unless
-    :attr:`reduce` is switched off) with a monic denominator, and the
-    canonical ``0/1`` for zero.  Equality cross-multiplies, so switching
-    reduction off never changes the answers, only the representatives.
+    Instances normalise on construction: a reduced pair with a monic
+    denominator, and the canonical ``0/1`` for zero.  Equality
+    cross-multiplies.
     """
 
     __slots__ = ("num", "den")
     __hash__ = None
-
-    # class-wide switch; construction skips the gcd step when False
-    reduce = True
 
     def __init__(self, num: Polynomial, den: Polynomial = None):
         if den is None:
@@ -131,11 +127,10 @@ class RationalFunction:
         if not num:
             den = Polynomial.constant(num.ring, 1)
         else:
-            if RationalFunction.reduce:
-                g = polynomial_gcd(num, den)
-                if not g.is_constant():
-                    num = exact_divide(num, g)
-                    den = exact_divide(den, g)
+            g = polynomial_gcd(num, den)
+            if not g.is_constant():
+                num = exact_divide(num, g)
+                den = exact_divide(den, g)
             lc = den.leading_term(DegRevLex(den.ring.arity))[0]
             if lc != 1:
                 num = num.scale(1 / lc)
@@ -214,8 +209,6 @@ class RationalFunction:
         if o is None:
             return NotImplemented
         a, b, c, d = self.num, self.den, o.num, o.den
-        if not RationalFunction.reduce:
-            return RationalFunction(a * d + c * b, b * d)
         e = polynomial_gcd(b, d)
         if e.is_constant():
             return RationalFunction._reduced(a * d + c * b, b * d)
@@ -253,8 +246,6 @@ class RationalFunction:
             return RationalFunction._reduced(
                 Polynomial.zero(self.ring), Polynomial.constant(self.ring, 1)
             )
-        if not RationalFunction.reduce:
-            return RationalFunction(a * c, b * d)
         g1 = polynomial_gcd(a, d)
         g2 = polynomial_gcd(c, b)
         if not g1.is_constant():

@@ -316,26 +316,41 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
 # -- interpolation across parallel slices ----------------------------
 
 
-def lagrange_coefficients(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
-    """Coefficients, low degree first, of the unique polynomial of
-    degree < len(points) through the given (x, y) pairs."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        # basis numerator prod_{j != i} (x - xj), built incrementally
-        basis = [Fraction(1)]
+def _lagrange_basis(xs: Sequence[Fraction]) -> List[List[Fraction]]:
+    """Coefficients, low degree first, of each Lagrange basis polynomial
+    prod_{j != i} (x - xj) / (xi - xj) of the distinct nodes ``xs``."""
+    basis = []
+    for i, xi in enumerate(xs):
+        # numerator prod_{j != i} (x - xj), built incrementally
+        num = [Fraction(1)]
         denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
-            shifted = [Fraction(0)] + basis
-            basis = [a - xj * b for a, b in zip(shifted, basis + [Fraction(0)])]
+            shifted = [Fraction(0)] + num
+            num = [a - xj * b for a, b in zip(shifted, num + [Fraction(0)])]
             denom *= xi - xj
-        scale = yi / denom
-        for k, b in enumerate(basis):
-            coeffs[k] += scale * b
+        basis.append([b / denom for b in num])
+    return basis
+
+
+def _interpolate(basis: Sequence[List[Fraction]], ys: Sequence[Fraction]) -> List[Fraction]:
+    """Coefficients, low degree first, of the polynomial taking the
+    values ``ys`` at the nodes of the Lagrange ``basis``."""
+    coeffs = [Fraction(0)] * len(basis)
+    for y, b in zip(ys, basis):
+        if y:
+            for k, c in enumerate(b):
+                coeffs[k] += y * c
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
+
+
+def lagrange_coefficients(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
+    """Coefficients, low degree first, of the unique polynomial of
+    degree < len(points) through the given (x, y) pairs."""
+    return _interpolate(_lagrange_basis([x for x, _ in points]), [y for _, y in points])
 
 
 @dataclass(frozen=True)
@@ -390,10 +405,10 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     ring = family.ring
     i = family.pivot
     pps = sorted(set(itertools.chain.from_iterable(v.terms for v in values)))
+    basis = _lagrange_basis(family.gammas)
     terms: Dict[PowerProduct, Fraction] = {}
     for t in pps:
-        points = [(g, v.terms.get(t, Fraction(0))) for g, v in zip(family.gammas, values)]
-        for d, c in enumerate(lagrange_coefficients(points)):
+        for d, c in enumerate(_interpolate(basis, [v.terms.get(t, Fraction(0)) for v in values])):
             if c:
                 terms[pp_insert(t, i, d)] = c
     lifted = Polynomial(ring, terms)

@@ -1,20 +1,23 @@
 """Shared strategies and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: the
-dimension oracle enumerates every variable subset, and the membership
-oracle solves a bounded-degree linear system for the cofactors.
+dimension oracle enumerates every variable subset, the membership
+oracle solves a bounded-degree linear system for the cofactors, and the
+division oracle divides on exponent tuples instead of packed terms.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from slicegb.poly import Polynomial
-from slicegb.rings import PowerProduct, Ring, pp_mul
+from slicegb.orders import TermOrder
+from slicegb.rings import PowerProduct, Ring, pp_div, pp_mul
 
 
 def all_power_products(n: int, max_degree: int) -> List[PowerProduct]:
@@ -43,7 +46,7 @@ def power_products(n: int, max_degree: int = 4):
 
 
 def polynomials(ring: Ring, max_degree: int = 4, max_terms: int = 6, coeffs=None):
-    coeffs = coeffs or fractions()
+    coeffs = fractions() if coeffs is None else coeffs
     return st.dictionaries(
         power_products(ring.arity, max_degree), coeffs, max_size=max_terms
     ).map(lambda d: Polynomial.from_terms(ring, d))
@@ -136,3 +139,72 @@ def member_with_bound(generators: Sequence[Polynomial], f: Polynomial, degree_bo
     for u, c in f.terms.items():
         rhs[row_index[u]] = c
     return solve_exact(rows, rhs) is not None
+
+
+class _TopTerm:
+    """Max-heap adapter: heapq pops the entry with the largest key."""
+
+    __slots__ = ("key", "term")
+
+    def __init__(self, key, term: PowerProduct):
+        self.key = key
+        self.term = term
+
+    def __lt__(self, other: "_TopTerm") -> bool:
+        return self.key > other.key
+
+
+def normal_form_reference(order: TermOrder, f: Polynomial, reducers: Sequence[Polynomial]) -> Polynomial:
+    """Full remainder of ``f`` under division by ``reducers``, on
+    exponent tuples and field arithmetic: the largest reducible term is
+    rewritten by the first reducer in list order whose leading term
+    divides it, as in ``slicegb.groebner.normal_form``.
+
+    The pending terms sit in a max-heap with lazy deletion; rewriting
+    only creates terms below the one being rewritten, so surviving pops
+    come out in strictly decreasing order and the remainder never sees
+    the same term twice.
+    """
+    red = []
+    for g in reducers:
+        if g:
+            lc, lt = g.leading_term(order)
+            red.append((lt, lc, g.terms))
+    work = dict(f.terms)
+    remainder: Dict[PowerProduct, object] = {}
+    key = order.key
+    heap = [_TopTerm(key(t), t) for t in work]
+    heapq.heapify(heap)
+    while heap:
+        t = heapq.heappop(heap).term
+        if t not in work:
+            continue
+        c = work.pop(t)
+        quotient = None
+        for lt, lc, gterms in red:
+            q = pp_div(t, lt)
+            if q is not None:
+                quotient = (lt, lc, gterms, q)
+                break
+        if quotient is None:
+            remainder[t] = c
+            continue
+        lt, lc, gterms, q = quotient
+        factor = c / lc
+        for s, cg in gterms.items():
+            if s == lt:
+                continue
+            u = pp_mul(s, q)
+            cur = work.get(u)
+            if cur is None:
+                value = -(factor * cg)
+                if value:
+                    work[u] = value
+                    heapq.heappush(heap, _TopTerm(key(u), u))
+            else:
+                value = cur - factor * cg
+                if value:
+                    work[u] = value
+                else:
+                    del work[u]
+    return Polynomial(f.ring, remainder)

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from helpers import (
     all_power_products,
     dimension_by_subset_search,
+    fractions,
     member_with_bound,
     nonzero_polynomials,
+    normal_form_reference,
     polynomials,
 )
 from slicegb.groebner import (
@@ -33,10 +35,12 @@ from slicegb.groebner import (
     spolynomial,
 )
 from slicegb import groebner
+from slicegb.families import split_parameters
 from slicegb.orders import DegLex, DegRevLex, Elim, Lex, PivotDegRev
 from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial
-from slicegb.rings import pp_divides, pp_gcd, ring
+from slicegb.ratfunc import RationalFunction
+from slicegb.rings import pp_divides, ring
 
 R2 = ring("x", "y")
 R3 = ring("x", "y", "z")
@@ -171,14 +175,14 @@ def test_reduced_basis_ignores_generator_presentation(gens, rng):
 
 
 def interreduce_by_normal_form(order, polys):
-    """The reduced basis by ``normal_form`` over Fractions: the generic
-    division that the packed integer kernel must agree with."""
+    """The reduced basis by the tuple-based reference division, which
+    the packed kernel must agree with."""
     kept = []
     for g in sorted(polys, key=lambda g: order.key(g.leading_power_product(order))):
         if not any(pp_divides(h.leading_power_product(order), g.leading_power_product(order)) for h in kept):
             kept.append(g)
     for idx, g in enumerate(kept):
-        kept[idx] = normal_form(order, g, kept[:idx] + kept[idx + 1:]).monic(order)
+        kept[idx] = normal_form_reference(order, g, kept[:idx] + kept[idx + 1:]).monic(order)
     return kept
 
 
@@ -210,6 +214,30 @@ ORDERS3 = [
 @given(small_ideals(R3))
 def test_content_normalization_flag_changes_nothing_across_orders(order, gens):
     assert_paths_agree(order, gens)
+
+
+PARAMS = ring("a", "b")
+
+
+def parameter_fractions():
+    """Nonzero elements of Q(a, b) of degree at most 1 over at most 1."""
+    small = nonzero_polynomials(PARAMS, max_degree=1, max_terms=2)
+    return st.builds(RationalFunction, small, small)
+
+
+FIELDS = {"Q": fractions(), "Q(a,b)": parameter_fractions()}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_normal_form_matches_the_reference(order, field, data):
+    coeffs = FIELDS[field]
+    f = data.draw(polynomials(R3, max_degree=4, max_terms=5, coeffs=coeffs))
+    reducers = data.draw(st.lists(polynomials(R3, max_degree=2, max_terms=3, coeffs=coeffs), max_size=3))
+    got, expected = normal_form(order, f, reducers), normal_form_reference(order, f, reducers)
+    assert got == expected and repr(got) == repr(expected)
 
 
 @pytest.fixture
@@ -261,6 +289,45 @@ def test_interreduction_products_wider_than_the_initial_packing(widths):
     assert len(widths) > 1  # the first width overflowed and the call reran
     assert basis_strings(gb) == ["y -z^7", "x -z^49", "w -z^343"]
     assert list(gb.elements) == interreduce_by_normal_form(Lex(4), polys)
+
+
+A = ring("a")
+
+
+def over_a(text, r):
+    """A polynomial over Q(a) in the ring ``r``, written with ``a``."""
+    return split_parameters(p(text, A.concat(r)), A, r).map_coefficients(RationalFunction)
+
+
+def assert_groebner_by_reference(order, basis):
+    for i in range(len(basis)):
+        for j in range(i):
+            assert not normal_form_reference(order, spolynomial(order, basis[i], basis[j]), basis)
+
+
+@pytest.mark.parametrize("order", [Lex(2), DegRevLex(2)], ids=lambda o: o.name)
+def test_exponent_wider_than_32_bits_over_parameters(order, widths):
+    gens = [over_a("x^4294967296 - a*y", R2), over_a("y^2 - a", R2)]
+    basis = buchberger(order, gens)
+    assert min(widths) > 32
+    assert_groebner_by_reference(order, basis)
+    gb = reduce_basis(order, basis)
+    assert list(gb.elements) == interreduce_by_normal_form(order, basis)
+    f = over_a("x^4294967297*y + a*x*y^3", R2)
+    got = normal_form(order, f, gb.elements)
+    assert got == normal_form_reference(order, f, gb.elements)
+    assert repr(got) == "a^2*x*y +a^2*x"
+
+
+def test_products_wider_than_the_initial_packing_over_parameters(widths):
+    # x^7 -> a^7*y^49 -> a^7*z^343 inside the reduction of the S-polynomial
+    gens = [over_a(g, R3) for g in ["x^7 - a", "x - a*y^7", "y - z^7"]]
+    basis = buchberger(Lex(3), gens)
+    assert len(set(widths)) > 1  # the first width overflowed and the call reran
+    assert_groebner_by_reference(Lex(3), basis)
+    gb = reduce_basis(Lex(3), basis)
+    assert list(gb.elements) == interreduce_by_normal_form(Lex(3), basis)
+    assert "z^343 -1/(a^6)" in basis_strings(gb)
 
 
 @settings(max_examples=25, deadline=None)
@@ -349,7 +416,7 @@ def test_monomial_dimension_against_subset_search():
 
 def monomial_colon(arity, gens, t):
     # (m_1, ..., m_k) : t = (m_i / gcd(m_i, t)), minimalized
-    out = [tuple(e - g for e, g in zip(m, pp_gcd(m, t))) for m in gens]
+    out = [tuple(e - min(e, f) for e, f in zip(m, t)) for m in gens]
     return MonomialIdeal.of(arity, out)
 
 
