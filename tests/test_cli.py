@@ -3,9 +3,11 @@ files, including the exit-code taxonomy and byte-stable reruns."""
 
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -315,6 +317,30 @@ def test_timeout_exits_3():
     code, _, err = run("implicitize", "--timeout", "0.05", path("surface_map.json"))
     assert code == 3
     assert "ResourceLimit" in err and "timed out" in err
+
+
+def test_timeout_ends_slice_workers():
+    # a fresh interpreter, so that an uncaught error would print its traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(slicegb.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "slicegb", "implicitize", "--mode", "slice",
+                           "--jobs", "2", "--timeout", "2", path("surface_map.json")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "ResourceLimit" in proc.stderr and "Traceback" not in proc.stderr
+    assert elapsed < 2 + 1.5
+
+
+@pytest.mark.parametrize("argv", [
+    ("implicitize", "--mode", "slice", "--jobs", "2", "--timeout", "0.5", path("surface_map.json")),
+    ("implicitize", "--mode", "slice", "--jobs", "2", path("cubic_map.json")),
+    ("reconstruct-surface", "--jobs", "2", path("cubic_slices.json")),
+], ids=["timeout", "implicitize", "reconstruct-surface"])
+def test_no_worker_outlives_the_call(argv):
+    code, _, _ = run(*argv)
+    assert code == (3 if "--timeout" in argv else 0)
+    assert multiprocessing.active_children() == []
 
 
 def test_help_exits_0():

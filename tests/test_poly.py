@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import fractions, polynomials
 from slicegb.orders import DegRevLex, Lex
-from slicegb.poly import Polynomial
+from slicegb.poly import Polynomial, compose
 from slicegb.rings import ring
 
 R2 = ring("x", "y")
@@ -121,6 +121,20 @@ def test_ring_laws(f, g, h):
 def test_substitute_is_a_ring_map(f, g, i, value):
     assert (f + g).substitute(i, value) == f.substitute(i, value) + g.substitute(i, value)
     assert (f * g).substitute(i, value) == f.substitute(i, value) * g.substitute(i, value)
+
+
+@settings(max_examples=60)
+@given(polynomials(R3), st.integers(0, 2), polynomials(R3, max_degree=2, max_terms=3),
+       st.lists(polynomials(R2, max_degree=2, max_terms=3), min_size=3, max_size=3),
+       st.lists(fractions(), min_size=3, max_size=3))
+def test_substitute_and_compose_agree_with_evaluation(f, i, value, images, point):
+    # x_i := value, then evaluating, is evaluating with x_i set to value(point)
+    moved = list(point)
+    moved[i] = value.evaluate(point)
+    assert f.substitute(i, value).evaluate(point) == f.evaluate(moved)
+    # the ring map x, y, z -> images, then evaluating, is evaluating at the images' values
+    at = point[:2]
+    assert compose(f, images, R2).evaluate(at) == f.evaluate([g.evaluate(at) for g in images])
 
 
 @settings(max_examples=60)

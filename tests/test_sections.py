@@ -1,5 +1,8 @@
 import itertools
+import multiprocessing
 import random
+import time
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from slicegb.groebner import Ideal, groebner_basis, is_member
 from slicegb.orders import DegRevLex, Lex, PivotDegRev, degrevlex, lex
 from slicegb.parsing import ParseError, format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial, compose
+from slicegb import sections
 from slicegb.rings import ring
 from slicegb.sections import (
     BasisMembership,
@@ -34,6 +38,7 @@ from slicegb.sections import (
     implicitize,
     lagrange_coefficients,
     load_slice_file,
+    map_slices,
     reconstruct_basis,
     section_basis,
     verify_lifting,
@@ -193,7 +198,6 @@ def test_section_basis_keeps_leading_terms():
     order = degrevlex(R3)
     gb = groebner_basis(order, [p("x^2 -y", R3), p("y^2 -z", R3)])
     report = section_basis(gb, LinearForm.of(R3, "z", gamma=Fraction(3)))
-    assert report.nonzerodivisor
     assert strings(report.basis) == ["y^2 -3", "x^2 -y"]
     assert report.basis.is_minimal and report.basis.is_reduced
 
@@ -537,6 +541,142 @@ def test_implicitize_nonprincipal():
     with pytest.raises(NonPrincipal):
         # constant images collapse the surface to a point
         implicitize(par2, coords, [p("1", par2), p("2", par2), p("3", par2)])
+
+
+
+PINCH = (["u", "v"], ["u*v", "u", "v^2"])
+# the slice z = -2 is the parameter line s = 0, which maps to a point
+POINT_SLICE = (["s", "t"], ["s*t", "s*t^2", "s -2"])
+
+
+def surface_map(params, images):
+    par = ring(*params)
+    return par, ring("x", "y", "z"), [p(text, par) for text in images]
+
+
+def count_slices(monkeypatch):
+    """Record the slice constant of every slice elimination run in this process."""
+    seen = []
+    job = sections._slice_curve_job
+
+    def counted(args):
+        seen.append(args[-1])
+        return job(args)
+
+    monkeypatch.setattr(sections, "_slice_curve_job", counted)
+    return seen
+
+
+@pytest.mark.parametrize("case, pivot, computed", [
+    (PINCH, "x", [2, -2, 3, -3]),
+    (POINT_SLICE, "z", [2, -2, 3]),
+])
+def test_implicitize_doubles_without_recomputing_a_slice(monkeypatch, case, pivot, computed):
+    # one slice cannot pin the pivot degree, so the slice count doubles;
+    # the scan goes on where it stopped, so no slice is eliminated twice
+    # and none of the gamma stream is skipped
+    par, coords, images = surface_map(*case)
+    elim = implicitize(par, coords, images)
+    seen = count_slices(monkeypatch)
+    lifts = []
+    lifting = sections.common_lifting
+
+    def counted_lifting(family, values):
+        lifts.append(len(values))
+        return lifting(family, values)
+
+    monkeypatch.setattr(sections, "common_lifting", counted_lifting)
+    sliced = implicitize(par, coords, images, mode="slice", pivot=pivot, initial_slices=1)
+    assert sliced == elim
+    assert seen == computed
+    assert lifts[:2] == [1, 2]
+    # workers cannot import the counting wrapper
+    monkeypatch.undo()
+    parallel = implicitize(par, coords, images, mode="slice", pivot=pivot, initial_slices=1, jobs=2)
+    assert format_polynomial(degrevlex(coords), parallel) == format_polynomial(degrevlex(coords), sliced)
+
+
+class InlinePool:
+    """Stands in for the process pool: runs each call when it is
+    submitted, starts no process, and records the worker count asked
+    for and how many calls were in flight at once."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = self.taken = self.most_in_flight = 0
+        InlinePool.made.append(self)
+
+    def submit(self, fn, arg):
+        self.submitted += 1
+        self.most_in_flight = max(self.most_in_flight, self.submitted - self.taken)
+        future = TakenFuture(self)
+        future.set_result(fn(arg))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+class TakenFuture(Future):
+    """A future that counts the reads of its result on its pool."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.taken += 1
+        return super().result(timeout)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    InlinePool.made = []
+    monkeypatch.setattr(sections, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sections.os, "cpu_count", lambda: 3)
+    return InlinePool.made
+
+
+def test_map_slices_bounds_workers_and_calls_in_flight(inline_pool):
+    assert list(map_slices(abs, range(-9, 0), jobs=10 ** 5)) == list(range(9, 0, -1))
+    assert list(map_slices(abs, range(-9, 0), jobs=2)) == list(range(9, 0, -1))
+    huge, two = inline_pool
+    assert (huge.max_workers, two.max_workers) == (3, 2)
+    assert two.most_in_flight == 2 and two.taken == 9
+    assert list(map_slices(abs, [-1, -2], jobs=1)) == [1, 2]
+    assert len(inline_pool) == 2  # one job runs in process
+
+
+def test_implicitize_asks_for_no_slice_it_does_not_use(monkeypatch, inline_pool):
+    par, coords, images = surface_map(*POINT_SLICE)
+    seen = count_slices(monkeypatch)
+    one = implicitize(par, coords, images, mode="slice", pivot="z")
+    computed = list(seen)
+    seen.clear()
+    many = implicitize(par, coords, images, mode="slice", pivot="z", jobs=10 ** 5)
+    assert many == one and seen == computed
+    (pool,) = inline_pool
+    assert pool.max_workers == 3
+    # the first slice count is 7, and the degenerate slice at -2 is
+    # replaced only once its result is in
+    assert pool.most_in_flight == 7 and pool.submitted == len(computed) == 8
+
+
+def test_closing_map_slices_ends_running_workers():
+    start = time.perf_counter()
+    results = map_slices(time.sleep, [0, 60, 60], jobs=2)
+    assert next(results) is None
+    results.close()
+    assert time.perf_counter() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+def test_map_slices_passes_errors_on_and_reaps_workers():
+    with pytest.raises(ValueError):
+        list(map_slices(int, ["1", "x", "2", "3"], jobs=2))
+    assert multiprocessing.active_children() == []
 
 
 # -- slice files -----------------------------------------------------
