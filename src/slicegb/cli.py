@@ -10,6 +10,7 @@ cannot be read or parsed, 2 when a mathematical precondition fails
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import signal
 import sys
@@ -410,7 +411,10 @@ def _cmd_reconstruct_surface(args) -> int:
 # -- wiring ----------------------------------------------------------
 
 
+@functools.cache
 def _build() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on first use; parsing leaves
+    it as it was, so one serves every ``main`` call of a process."""
     top = argparse.ArgumentParser(
         prog="slicegb",
         description="Exact Groebner bases, hyperplane slicing, and slice-wise "

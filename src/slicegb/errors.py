@@ -74,7 +74,9 @@ class Inconsistent(SliceGBError):
 
 
 class RetryLimitExceeded(SliceGBError):
-    """Slice-count doubling hit its cap without a stable reconstruction."""
+    """Slice-mode implicitization read as many slices as a degree bound
+    allows, or ran out of non-degenerate slices, without a verified
+    equation."""
 
 
 class ResourceLimit(SliceGBError):

@@ -390,7 +390,8 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     after which each slice pins the pivot to a constant and every
     coefficient of the lifting is a univariate interpolation along the
     pivot.  Each slice equation is re-verified on the result rather than
-    assumed.
+    assumed, in the sheared coordinates: undoing the shear maps the slice
+    pivot = gamma there onto the cut pivot = tail + gamma exactly.
     """
     if len(values) != len(family.gammas):
         raise ValueError("one slice value per slice constant required")
@@ -408,14 +409,15 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
             if c:
                 terms[pp_insert(t, i, d)] = c
     lifted = Polynomial(ring, terms)
+    # checked in the sheared frame, where each slice pins the pivot to gamma
+    for gamma, v in zip(family.gammas, values):
+        if LinearForm(ring, i, (), gamma).apply(lifted) != v:
+            raise AssertionError("lifting failed to restrict to a slice value; this is a bug")
     if family.tail:
         # undo the coordinate change: the pivot goes back to pivot - tail
         pivot_var = Polynomial.variable(ring, ring.names[i])
         tail_poly = LinearForm(ring, i, family.tail).replacement()
         lifted = lifted.substitute(i, pivot_var - tail_poly)
-    for form, v in zip(family.forms(), values):
-        if form.apply(lifted) != v:
-            raise AssertionError("lifting failed to restrict to a slice value; this is a bug")
     return lifted
 
 
@@ -540,24 +542,23 @@ def _eliminate_params(param_ring: Ring, keep: Ring, pairs, extra=()) -> Ideal:
 def map_slices(job, work, jobs: int = 1) -> Iterator:
     """Yield ``job(w)`` for each item ``w`` of ``work``, in order.
 
-    Above one job, up to ``jobs`` calls run at once on at most one worker
-    process per CPU.  An item is drawn only when a call may start, so a
-    lazy ``work`` can pick it from the results taken so far; ``None``
-    starts nothing until the oldest call is taken.  Closing the generator
-    or an error in it cancels the pending calls, kills the running ones
-    without waiting for them and reaps every worker before it returns.
+    Above one job, the calls run on ``jobs`` worker processes, but on no
+    more than one per CPU, with one call in flight per worker.  An item
+    is drawn only when a call may start.  Closing the generator or an
+    error in it cancels the pending calls, kills the running ones without
+    waiting for them and reaps every worker before it returns.
     """
     if not jobs or jobs <= 1:
         for w in work:
             yield job(w)
         return
-    pool = ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1))
+    workers = min(jobs, os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers)
     running = []
     try:
         for w in work:
-            if w is not None:
-                running.append(pool.submit(job, w))
-            if w is None or len(running) == jobs:
+            running.append(pool.submit(job, w))
+            if len(running) == workers:
                 yield running[0].result()
                 running.pop(0)
         while running:
@@ -583,6 +584,28 @@ def _slice_curve_job(args):
     return out.generators[0].monic(sub_order) if good else None
 
 
+def _newton_extend(table: Dict[PowerProduct, List[Fraction]], nodes: Sequence[Fraction],
+                   x: Fraction, value: Polynomial) -> bool:
+    """Extend ``table``, which holds for each term the Newton coefficients
+    along the pivot of its interpolant over ``nodes``, by the node ``x``
+    with slice value ``value``.  True when every new top coefficient is
+    zero, that is, when the interpolant over ``nodes`` already took
+    ``value`` at ``x``."""
+    scale = Fraction(1)
+    for xj in nodes:
+        scale *= x - xj
+    agrees = True
+    for t in table.keys() | value.terms.keys():
+        coeffs = table.setdefault(t, [Fraction(0)] * len(nodes))
+        at_x = Fraction(0)
+        for xj, a in zip(reversed(nodes), reversed(coeffs)):
+            at_x = at_x * (x - xj) + a
+        top = (value.terms.get(t, Fraction(0)) - at_x) / scale
+        coeffs.append(top)
+        agrees = agrees and not top
+    return agrees
+
+
 def implicitize(
     param_ring: Ring,
     coord_ring: Ring,
@@ -590,8 +613,6 @@ def implicitize(
     mode: str = "eliminate",
     pivot: Optional[str] = None,
     order: Optional[TermOrder] = None,
-    initial_slices: Optional[int] = None,
-    max_doublings: int = 4,
     gamma_offset: Optional[int] = None,
     jobs: int = 1,
 ) -> Polynomial:
@@ -601,10 +622,13 @@ def implicitize(
     ``eliminate`` mode performs one block elimination of the parameters.
     ``slice`` mode fixes a pivot coordinate to a stream of constants,
     implicitizes each plane slice separately, and rebuilds the equation
-    by interpolation along the pivot; the slice count starts just above
-    a Bezout-style degree bound and doubles whenever verification fails.
-    The rebuilt equation is accepted only once it vanishes under the
-    parametrization, which certifies it exactly.
+    by interpolation along the pivot.  It reads the slices one at a time
+    and stops at the first slice on which the interpolant of the slices
+    before it already takes the slice curve, once pivot degree + 2
+    slices are in (early termination, as in sparse interpolation).  The
+    rebuilt equation is accepted only once it vanishes under the
+    parametrization, which certifies it exactly; past a Bezout-style
+    degree bound on the pivot degree, plus two, it gives up.
     """
     if len(images) != coord_ring.arity:
         raise ValueError("one coordinate image per variable required")
@@ -638,59 +662,43 @@ def implicitize(
     sub_pairs = [(name, img) for name, img in zip(coord_ring.names, images) if name != pivot]
     sub_order = order.restrict(i)
 
+    # By Perron's theorem the pivot degree is at most this product, so the
+    # stop rule needs at most cap slices of the generic leading term.
     degrees = sorted((img.total_degree() for img in images if img and not img.is_constant()),
                      reverse=True)
     bound = 1
     for d in degrees[: param_ring.arity]:
         bound *= d
-    n_slices = initial_slices if initial_slices else bound + 1
-
-    # One scan of the gamma stream, in stream order at any job count, serves
-    # every doubling: a longer scan passes through where a shorter one stopped.
-    stream = gamma_stream(gamma_offset)
-    asked: List[Fraction] = []
-    taken = 0
-    kept: List[Tuple[Fraction, Polynomial]] = []
+    cap = bound + 2
+    gammas = list(itertools.islice(gamma_stream(gamma_offset), 4 * cap + 16))
+    work = ((param_ring, sub_ring, sub_pairs, pivot_image, sub_order, g) for g in gammas)
     best_lt: Optional[PowerProduct] = None
-
-    def work() -> Iterator:
-        # never more slices in flight than are still lacking
-        while len(asked) < 4 * n_slices + 16 or taken < len(asked):
-            if len(asked) < 4 * n_slices + 16 and len(asked) - taken < n_slices - len(kept):
-                asked.append(next(stream))
-                yield (param_ring, sub_ring, sub_pairs, pivot_image, sub_order, asked[-1])
-            else:
-                yield None
-
-    with closing(map_slices(_slice_curve_job, work(), jobs)) as slices:
-        for _ in range(max_doublings + 1):
-            for curve in slices:
-                gamma = asked[taken]
-                taken += 1
-                if curve is None:
-                    continue  # degenerate slice, e.g. a lower-dimensional fiber
-                lt = curve.leading_power_product(sub_order)
-                if best_lt is None or sub_order.compare(lt, best_lt) > 0:
-                    best_lt = lt
-                    kept = []
-                if lt == best_lt:
-                    kept.append((gamma, curve))
-                if len(kept) == n_slices:
-                    break
-            else:
-                raise RetryLimitExceeded("too many degenerate slices")
-            family = SliceFamily(coord_ring, i, (), tuple(g for g, _ in kept))
-            surface = common_lifting(family, [c for _, c in kept])
-            # Vanishing under the parametrization is a full certificate here:
-            # any surplus factor would have to be constant on every slice yet
-            # scale the shared monic leading coefficient, which pins it to 1.
-            if not compose(surface, images, param_ring):
-                return integer_normalize(surface, order)
-            n_slices *= 2
-    raise RetryLimitExceeded(
-        "slice count doubled past its cap without a verified equation; "
-        "try another pivot or ordering"
-    )
+    with closing(map_slices(_slice_curve_job, work, jobs)) as slices:
+        for gamma, curve in zip(gammas, slices):
+            if curve is None:
+                continue  # degenerate slice, e.g. a lower-dimensional fiber
+            lt = curve.leading_power_product(sub_order)
+            if best_lt is None or sub_order.compare(lt, best_lt) > 0:
+                best_lt, nodes, curves, table = lt, [], [], {}
+            if lt != best_lt:
+                continue
+            agrees = _newton_extend(table, nodes, gamma, curve)
+            nodes.append(gamma)
+            curves.append(curve)
+            if agrees:
+                surface = common_lifting(SliceFamily(coord_ring, i, (), tuple(nodes)), curves)
+                # Vanishing under the parametrization is a full certificate
+                # here: any surplus factor would have to be constant on every
+                # slice yet scale the shared monic leading coefficient, which
+                # pins it to 1.
+                if not compose(surface, images, param_ring):
+                    return integer_normalize(surface, order)
+            if len(nodes) == cap:
+                raise RetryLimitExceeded(
+                    f"{cap} slices gave no verified equation, and the pivot degree "
+                    f"is at most {bound}; try another pivot or ordering"
+                )
+    raise RetryLimitExceeded("too many degenerate slices")
 
 
 # -- slice files -----------------------------------------------------

@@ -332,6 +332,20 @@ def test_timeout_ends_slice_workers():
     assert elapsed < 2 + 1.5
 
 
+def test_slice_count_cap_exits_3(tmp_path):
+    # x*z - y has no slice curve polynomial in the pivot once made monic,
+    # so no slice count verifies; a fresh interpreter, so that an uncaught
+    # error would print its traceback
+    surface = tmp_path / "plane_pencil.json"
+    surface.write_text(json.dumps({"params": "QQ[s,t]", "coords": "QQ[x,y,z]",
+                                   "images": ["s", "s*t", "t"], "pivot": "z"}))
+    env = dict(os.environ, PYTHONPATH=str(Path(slicegb.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "slicegb", "implicitize", "--mode", "slice",
+                           str(surface)], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "RetryLimitExceeded" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("implicitize", "--mode", "slice", "--jobs", "2", "--timeout", "0.5", path("surface_map.json")),
     ("implicitize", "--mode", "slice", "--jobs", "2", path("cubic_map.json")),
@@ -341,6 +355,16 @@ def test_no_worker_outlives_the_call(argv):
     code, _, _ = run(*argv)
     assert code == (3 if "--timeout" in argv else 0)
     assert multiprocessing.active_children() == []
+
+
+def test_one_parser_serves_every_call():
+    # the parser is built once per process; a usage error or an earlier
+    # call leaves nothing behind for the next one
+    assert slicegb.cli._build() is slicegb.cli._build()
+    assert run("gb", "--bogus", path("cone_sections.txt"))[0] == 1
+    assert run("gb", "--order", "lex", path("cone_sections.txt"))[0] == 0
+    code, out, _ = run("gb", path("cone_sections.txt"))
+    assert code == 0 and out == run("gb", "--order", "degrev:x0", path("cone_sections.txt"))[1]
 
 
 def test_help_exits_0():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fractions, nonzero_polynomials
+from helpers import fractions, nonzero_polynomials, polynomials
 from slicegb.errors import (
     HypothesisViolation,
     LTDrift,
@@ -338,6 +338,28 @@ def test_lagrange_interpolates(data):
         assert acc == y
 
 
+@given(st.lists(fractions(), min_size=1, max_size=6, unique=True), polynomials(R2, max_degree=3))
+def test_newton_extend_flags_the_slices_earlier_ones_predict(xs, h):
+    # the flag is checked against Lagrange interpolation over the earlier
+    # slices, term by term; past the pivot degree of h every slice agrees
+    table, nodes, earlier = {}, [], []
+    for x in xs:
+        value = LinearForm.of(R2, "x", gamma=x).apply(h)
+        predicted = True
+        for t in set(value.terms).union(*(v.terms for v in earlier)):
+            coeffs = lagrange_coefficients([(n, v.terms.get(t, Fraction(0)))
+                                            for n, v in zip(nodes, earlier)])
+            at_x = Fraction(0)
+            for c in reversed(coeffs):
+                at_x = at_x * x + c
+            predicted = predicted and at_x == value.terms.get(t, Fraction(0))
+        assert sections._newton_extend(table, nodes, x, value) == predicted
+        if len(nodes) > max((t[0] for t in h.terms), default=0):
+            assert predicted
+        nodes.append(x)
+        earlier.append(value)
+
+
 def test_common_lifting_minimal_degree_example():
     fam = SliceFamily.of(R2, "y", [0, 1, 2])
     sub = fam.sub_ring()
@@ -567,33 +589,69 @@ def count_slices(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("case, pivot, computed", [
-    (PINCH, "x", [2, -2, 3, -3]),
-    (POINT_SLICE, "z", [2, -2, 3]),
+@pytest.mark.parametrize("case, pivot, computed, lifts", [
+    # x^2 is even in the pivot x, so the second slice repeats the first;
+    # the constant interpolant fails the certificate and the scan reads on
+    (PINCH, "x", [2, -2, 3, -3], [2, 4]),
+    (POINT_SLICE, "z", [2, -2, 3, -3], [3]),
 ])
-def test_implicitize_doubles_without_recomputing_a_slice(monkeypatch, case, pivot, computed):
-    # one slice cannot pin the pivot degree, so the slice count doubles;
-    # the scan goes on where it stopped, so no slice is eliminated twice
-    # and none of the gamma stream is skipped
+def test_implicitize_stops_without_recomputing_a_slice(monkeypatch, case, pivot, computed, lifts):
+    # the scan stops at the first slice the earlier ones predict, pivot
+    # degree + 2 slices in; no slice is eliminated twice and none of the
+    # gamma stream is skipped
     par, coords, images = surface_map(*case)
     elim = implicitize(par, coords, images)
     seen = count_slices(monkeypatch)
-    lifts = []
+    lifted = []
     lifting = sections.common_lifting
 
     def counted_lifting(family, values):
-        lifts.append(len(values))
+        lifted.append(len(values))
         return lifting(family, values)
 
     monkeypatch.setattr(sections, "common_lifting", counted_lifting)
-    sliced = implicitize(par, coords, images, mode="slice", pivot=pivot, initial_slices=1)
+    sliced = implicitize(par, coords, images, mode="slice", pivot=pivot)
     assert sliced == elim
-    assert seen == computed
-    assert lifts[:2] == [1, 2]
+    assert seen == computed == list(itertools.islice(gamma_stream(0), len(computed)))
+    assert lifted == lifts
     # workers cannot import the counting wrapper
     monkeypatch.undo()
-    parallel = implicitize(par, coords, images, mode="slice", pivot=pivot, initial_slices=1, jobs=2)
+    parallel = implicitize(par, coords, images, mode="slice", pivot=pivot, jobs=2)
     assert format_polynomial(degrevlex(coords), parallel) == format_polynomial(degrevlex(coords), sliced)
+
+
+@pytest.mark.parametrize("pivot_image, kept", [
+    # the slice at 2 comes first and has the smaller leading term x*y, so
+    # the slice at -2 starts the kept slices afresh
+    ("s*t +2", [-2, 3, -3, 4]),
+    # the slice at -2 comes after a larger leading term and is skipped
+    ("s*t -2", [2, 3, -3, 4]),
+], ids=["reset", "skip"])
+def test_implicitize_keeps_only_slices_of_the_largest_leading_term(monkeypatch, pivot_image, kept):
+    # x*y^2 = (z -/+ 2)^2, and at z = +/-2 the image of the slice is the
+    # two axes x*y = 0: a proper factor of the slice of the surface
+    par, coords, images = surface_map(["s", "t"], ["s^2", "t", pivot_image])
+    elim = implicitize(par, coords, images)
+    families = []
+    lifting = sections.common_lifting
+
+    def recorded_lifting(family, values):
+        families.append(family.gammas)
+        return lifting(family, values)
+
+    monkeypatch.setattr(sections, "common_lifting", recorded_lifting)
+    assert implicitize(par, coords, images, mode="slice", pivot="z") == elim
+    assert families == [tuple(map(Fraction, kept))]
+
+
+def test_implicitize_gives_up_at_the_degree_bound(monkeypatch):
+    # x*z - y normalizes on each slice to x - y/gamma, which is no
+    # polynomial in gamma; the degree bound 2 caps the scan at 4 slices
+    par, coords, images = surface_map(["s", "t"], ["s", "s*t", "t"])
+    seen = count_slices(monkeypatch)
+    with pytest.raises(RetryLimitExceeded):
+        implicitize(par, coords, images, mode="slice", pivot="z")
+    assert seen == [2, -2, 3, -3]
 
 
 class InlinePool:
@@ -644,24 +702,28 @@ def test_map_slices_bounds_workers_and_calls_in_flight(inline_pool):
     assert list(map_slices(abs, range(-9, 0), jobs=2)) == list(range(9, 0, -1))
     huge, two = inline_pool
     assert (huge.max_workers, two.max_workers) == (3, 2)
+    assert huge.most_in_flight == 3 and huge.taken == 9
     assert two.most_in_flight == 2 and two.taken == 9
     assert list(map_slices(abs, [-1, -2], jobs=1)) == [1, 2]
     assert len(inline_pool) == 2  # one job runs in process
 
 
-def test_implicitize_asks_for_no_slice_it_does_not_use(monkeypatch, inline_pool):
+def test_implicitize_runs_fewer_slices_than_workers_past_the_stop(monkeypatch, inline_pool):
     par, coords, images = surface_map(*POINT_SLICE)
     seen = count_slices(monkeypatch)
     one = implicitize(par, coords, images, mode="slice", pivot="z")
     computed = list(seen)
     seen.clear()
     many = implicitize(par, coords, images, mode="slice", pivot="z", jobs=10 ** 5)
-    assert many == one and seen == computed
+    assert many == one
     (pool,) = inline_pool
-    assert pool.max_workers == 3
-    # the first slice count is 7, and the degenerate slice at -2 is
-    # replaced only once its result is in
-    assert pool.most_in_flight == 7 and pool.submitted == len(computed) == 8
+    assert pool.max_workers == 3 and pool.most_in_flight == 3
+    # the degenerate slice at -2 is replaced from the stream, and the
+    # two calls in flight past the stopping slice are the next two
+    # slices of the stream
+    assert computed == [2, -2, 3, -3]
+    assert seen == list(itertools.islice(gamma_stream(0), len(computed) + 2))
+    assert pool.submitted == len(seen) and pool.taken == len(computed)
 
 
 def test_closing_map_slices_ends_running_workers():
