@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import signal
 import sys
 from contextlib import contextmanager
@@ -47,6 +48,22 @@ from .sections import (
 from .hough import reconstruct_surface
 
 ORDER_HELP = "term ordering: lex, deglex, degrevlex, degrev:<var>, elim:<v1>,<v2>,..."
+
+
+# about 31 years; the interval timer overflows a 32-bit time_t past 2**31 s
+_TIMEOUT_MAX = 10**9
+
+
+def _seconds(text: str) -> float:
+    """A ``--timeout`` value: a finite number of seconds from 0 (no
+    limit) to ``_TIMEOUT_MAX``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value <= _TIMEOUT_MAX:
+        raise argparse.ArgumentTypeError(f"expected seconds from 0 to {_TIMEOUT_MAX:g}, got {text!r}")
+    return value
 
 
 @contextmanager
@@ -425,7 +442,7 @@ def _build() -> argparse.ArgumentParser:
     def cmd(name: str, handler, help_: str):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--timeout", type=float, default=None, metavar="S",
+        p.add_argument("--timeout", type=_seconds, default=None, metavar="S",
                        help="abort after S seconds with exit code 3")
         p.set_defaults(handler=handler)
         return p

@@ -1,9 +1,15 @@
 """Buchberger's algorithm and the ideal-level operations built on it.
 
-Everything here is deterministic: pair selection follows the normal
-strategy (lowest lcm degree, ties by the ordering, then by index), and
-division always rewrites the largest reducible term using the first
-matching reducer in list order.
+Everything here is deterministic: pair selection follows the sugar
+strategy (lowest sugar, ties by the lcm in the ordering, then by
+index), pairs are pruned by the Gebauer-Moeller criteria, and division
+always rewrites the largest reducible term using the first matching
+reducer in list order.
+
+References: A. Giovini, T. Mora, G. Niesi, L. Robbiano, C. Traverso,
+"One sugar cube, please, or selection strategies in the Buchberger
+algorithm", ISSAC 1991; R. Gebauer, H. M. Moeller, "On an installation
+of Buchberger's algorithm", J. Symbolic Comput. 6 (1988).
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .orders import DegRevLex, Elim, TermOrder
 from .poly import Polynomial
@@ -450,43 +456,67 @@ def _reduce_basis_packed(pk: _Packing, polys: Sequence[Polynomial], step) -> Lis
 
 
 class _Pairs:
-    """The pair queue of one Buchberger run, over the packed leading
-    terms added so far.  Each pair is ranked once at creation; iterating
-    pops them in the normal-strategy order (lcm degree, then the
-    ordering, then index) and yields ``(i, j, lcm)``, the lcm packed,
-    for those that pass the coprime and chain criteria."""
+    """The pair queue of one Buchberger run under the sugar strategy,
+    pruned by the Gebauer-Moeller update.
+
+    A generator's sugar is its total degree; a pair's sugar is the
+    larger of ``sugar_k + deg lcm - deg lt_k`` over its two elements;
+    a stored remainder takes the sugar of its pair.  ``add`` stores a
+    new leading term ``lt_h`` with its sugar and updates the queue:
+
+    - B: an old pair goes when ``lt_h`` divides its lcm strictly, that
+      is, differs from the lcms of ``lt_h`` with both elements;
+    - M and F: of the new pairs, one per minimal lcm stays, the one
+      with the lowest index, and none for an lcm that a coprime pair
+      reaches (which also applies the product criterion);
+    - an element whose leading term ``lt_h`` divides makes no further
+      pairs, though it stays a reducer.
+
+    Iterating pops pairs by ``(sugar, lcm, i, j)`` and yields
+    ``(i, j, lcm, sugar)``, the lcm packed.
+    """
 
     def __init__(self, pk: _Packing):
         self.pk = pk
         self.lts: List[int] = []
         self.exps: List[PowerProduct] = []
-        self.pending: Set[Tuple[int, int]] = set()
+        self.surplus: List[int] = []  # sugar minus the degree of the leading term
+        self.active: List[int] = []  # the elements that still make pairs
         self.queue: List[tuple] = []
 
-    def add(self, lt: int) -> None:
-        j = len(self.lts)
-        t = self.pk.unpack(lt)
+    def add(self, lt: int, sugar: int) -> None:
+        pk, divisible = self.pk, self.pk.exp_guards
+        h = len(self.lts)
+        t = pk.unpack(lt)
+        surplus = sugar - pp_degree(t)
+        lcms = [pp_lcm(s, t) for s in self.exps]
+        packed = [pk.pack(l) for l in lcms]
+        self.queue = [
+            pair for pair in self.queue
+            if (pair[1] - lt) & divisible or pair[1] in (packed[pair[2]], packed[pair[3]])
+        ]
+        heapq.heapify(self.queue)
+        classes: Dict[int, List[int]] = {}
+        for i in self.active:
+            classes.setdefault(packed[i], []).append(i)
+        for l, members in classes.items():
+            if any(m != l and not (l - m) & divisible for m in classes):
+                continue
+            if any(pp_coprime(self.exps[i], t) for i in members):
+                continue
+            i = members[0]
+            pair_sugar = pp_degree(lcms[i]) + max(self.surplus[i], surplus)
+            heapq.heappush(self.queue, (pair_sugar, l, i, h))
+        self.active = [i for i in self.active if (self.lts[i] - lt) & divisible]
+        self.active.append(h)
         self.lts.append(lt)
         self.exps.append(t)
-        for i in range(j):
-            l = pp_lcm(self.exps[i], t)
-            self.pending.add((i, j))
-            heapq.heappush(self.queue, (pp_degree(l), self.pk.pack(l), i, j))
+        self.surplus.append(surplus)
 
     def __iter__(self):
-        pending, divisible = self.pending, self.pk.exp_guards
         while self.queue:
-            _, l, i, j = heapq.heappop(self.queue)
-            pending.remove((i, j))
-            if pp_coprime(self.exps[i], self.exps[j]):
-                continue
-            chained = any(
-                k not in (i, j) and (min(i, k), max(i, k)) not in pending
-                and (min(j, k), max(j, k)) not in pending
-                for k, s in enumerate(self.lts) if not (l - s) & divisible
-            )
-            if not chained:
-                yield i, j, l
+            sugar, l, i, j = heapq.heappop(self.queue)
+            yield i, j, l, sugar
 
 
 def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[Polynomial]:
@@ -496,15 +526,15 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[P
     red: List[tuple] = []
     pairs = _Pairs(pk)
 
-    def store(terms: dict) -> None:
+    def store(terms: dict, sugar: int) -> None:
         terms = step.normalize(terms)
         elems.append(terms)
         red.append(pk.reducer(terms))
-        pairs.add(red[-1][0])
+        pairs.add(red[-1][0], sugar)
 
     for g in gens:
-        store(step.pack(pk, g))
-    for i, j, l in pairs:
+        store(step.pack(pk, g), g.total_degree())
+    for i, j, l, sugar in pairs:
         fi, fc, f_tail, fi_top = red[i]
         gj, gc, g_tail, gj_top = red[j]
         qf, qg = l - fi, l - gj
@@ -516,7 +546,7 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[P
         _subtract(step, spair, {}, [], fc, gc, g_tail, qg)
         rem = _reduce(pk, spair, red, step)
         if rem:
-            store(rem)
+            store(rem, sugar)
     ring = gens[0].ring
     return [pk.polynomial(ring, step.to_field(e)) for e in elems]
 
@@ -524,8 +554,9 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[P
 def buchberger(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> List[Polynomial]:
     """A Groebner basis containing the nonzero generators (rescaled).
 
-    Pairs are pruned with the coprime-leading-term criterion and the
-    chain criterion.  ``normalize`` scales intermediate elements to
+    Pairs are taken by lowest sugar and pruned by the Gebauer-Moeller
+    criteria (see ``_Pairs``); every stored element stays a reducer, so
+    the result holds every remainder computed.  ``normalize`` scales intermediate elements to
     integer content 1 (rational coefficients only); it never changes the
     reduced basis obtained afterwards.
     """

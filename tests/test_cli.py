@@ -332,6 +332,21 @@ def test_timeout_ends_slice_workers():
     assert elapsed < 2 + 1.5
 
 
+@pytest.mark.parametrize("seconds", ["inf", "1e300", "-1", "nan"])
+def test_bad_timeout_is_a_usage_error(seconds):
+    # a fresh interpreter, so that an uncaught error would print its traceback
+    env = dict(os.environ, PYTHONPATH=str(Path(slicegb.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "slicegb", "gb", "--timeout", seconds,
+                           path("cone_sections.txt")], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "usage:" in proc.stderr and "--timeout" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_timeout_of_zero_means_no_limit():
+    assert run("gb", "--timeout", "0", path("cone_sections.txt")) == run("gb", path("cone_sections.txt"))
+
+
 def test_slice_count_cap_exits_3(tmp_path):
     # x*z - y has no slice curve polynomial in the pivot once made monic,
     # so no slice count verifies; a fresh interpreter, so that an uncaught

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -40,7 +41,7 @@ from slicegb.orders import DegLex, DegRevLex, Elim, Lex, PivotDegRev
 from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial
 from slicegb.ratfunc import RationalFunction
-from slicegb.rings import pp_divides, ring
+from slicegb.rings import pp_coprime, pp_degree, pp_divides, pp_lcm, ring
 
 R2 = ring("x", "y")
 R3 = ring("x", "y", "z")
@@ -144,15 +145,82 @@ def small_ideals(r, count=3):
     return st.lists(nonzero_polynomials(r, max_degree=3, max_terms=3), min_size=1, max_size=count)
 
 
-@settings(max_examples=25, deadline=None)
-@given(small_ideals(R2))
-def test_spolynomials_reduce_to_zero(gens):
-    # the defining property, checked after the fact
-    basis = buchberger(O2, gens)
+ORDERS3 = [
+    Lex(3), DegLex(3), DegRevLex(3),
+    PivotDegRev(3, 0), PivotDegRev(3, 1),
+    Elim(3, [0]), Elim(3, [0, 1]),
+]
+
+
+def assert_groebner_by_reference(order, basis):
+    """Buchberger's criterion by the tuple-based reference division: the
+    S-polynomial of every pair of elements reduces to zero, also the
+    pairs that the Gebauer-Moeller update never formed."""
     for i in range(len(basis)):
         for j in range(i):
-            s = spolynomial(O2, basis[i], basis[j])
-            assert normal_form(O2, s, basis).is_zero()
+            assert not normal_form_reference(order, spolynomial(order, basis[i], basis[j]), basis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_ideals(R3))
+def test_spolynomials_reduce_to_zero(gens):
+    # the defining property, checked after the fact
+    for order in ORDERS3:
+        assert_groebner_by_reference(order, buchberger(order, gens))
+
+
+def recorded_pairs(order, gens):
+    """``buchberger(order, gens)`` and its pair queue, which keeps the
+    pairs it yields as ``yielded``."""
+    queues = []
+
+    class Recording(groebner._Pairs):
+        def __init__(self, pk):
+            super().__init__(pk)
+            self.yielded = []
+            queues.append(self)
+
+        def __iter__(self):
+            for pair in super().__iter__():
+                self.yielded.append(pair)
+                yield pair
+
+    with mock.patch.object(groebner, "_Pairs", Recording):
+        basis = buchberger(order, gens)
+    return basis, queues[-1]  # the last packing width is the one that held
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_ideals(R3))
+def test_pairs_come_by_rising_sugar_and_never_coprime(gens):
+    for order in ORDERS3:
+        basis, pairs = recorded_pairs(order, gens)
+        sugars = [sugar for _, _, _, sugar in pairs.yielded]
+        assert sugars == sorted(sugars)
+        for i, j, lcm, sugar in pairs.yielded:
+            assert not pp_coprime(pairs.exps[i], pairs.exps[j])
+            assert pairs.pk.unpack(lcm) == pp_lcm(pairs.exps[i], pairs.exps[j])
+            assert sugar >= pp_degree(pairs.pk.unpack(lcm))
+        # a generator's sugar is its total degree
+        for g, lt, surplus in zip(gens, pairs.exps, pairs.surplus):
+            assert g.total_degree() == pp_degree(lt) + surplus
+
+
+def test_cyclic4_lex_unchanged_by_the_pair_strategy():
+    # frozen from a run under the normal strategy with a chain criterion;
+    # the reduced basis is unique, so no pair strategy may change it
+    r4 = ring("a", "b", "c", "d")
+    gens = [p(g, r4) for g in ["a+b+c+d", "a*b+b*c+c*d+d*a", "a*b*c+b*c*d+c*d*a+d*a*b", "a*b*c*d-1"]]
+    basis, pairs = recorded_pairs(Lex(4), gens)
+    assert len(pairs.yielded) < len(basis) * (len(basis) - 1) // 2
+    assert basis_strings(reduce_basis(Lex(4), basis)) == [
+        "c^2*d^6 -c^2*d^2 -d^4 +1",
+        "c^3*d^2 +c^2*d^3 -c -d",
+        "b*d^4 -b +d^5 -d",
+        "b*c -b*d +c^2*d^4 +c*d -2*d^2",
+        "b^2 +2*b*d +d^2",
+        "a +b +c +d",
+    ]
 
 
 @settings(max_examples=25, deadline=None)
@@ -202,16 +270,15 @@ def test_content_normalization_flag_changes_nothing(gens):
     assert_paths_agree(O2, gens)
 
 
-ORDERS3 = [
-    Lex(3), DegLex(3), DegRevLex(3),
-    PivotDegRev(3, 0), PivotDegRev(3, 1),
-    Elim(3, [0]), Elim(3, [0, 1]),
-]
+# a draw whose lex basis took 17 s under the normal strategy (224 s
+# without normalization) and takes milliseconds under sugar
+SLOW_UNDER_NORMAL_STRATEGY = ["7/2*x^3 -23/4*x*y +11/2*x", "y^2*z -13/2*z^2 -13/2*y", "-3/2*x*y^2 -5*z^3 +5*x^2"]
 
 
 @pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
 @settings(max_examples=10, deadline=None)
 @given(small_ideals(R3))
+@example(gens=[p(g) for g in SLOW_UNDER_NORMAL_STRATEGY])
 def test_content_normalization_flag_changes_nothing_across_orders(order, gens):
     assert_paths_agree(order, gens)
 
@@ -297,12 +364,6 @@ A = ring("a")
 def over_a(text, r):
     """A polynomial over Q(a) in the ring ``r``, written with ``a``."""
     return split_parameters(p(text, A.concat(r)), A, r).map_coefficients(RationalFunction)
-
-
-def assert_groebner_by_reference(order, basis):
-    for i in range(len(basis)):
-        for j in range(i):
-            assert not normal_form_reference(order, spolynomial(order, basis[i], basis[j]), basis)
 
 
 @pytest.mark.parametrize("order", [Lex(2), DegRevLex(2)], ids=lambda o: o.name)
