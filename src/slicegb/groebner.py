@@ -255,6 +255,11 @@ class _Packing:
         limit = self.limit
         return sum(max([(u >> k) & limit for u in terms], default=0) << k for k in self.shifts)
 
+    def degree(self, terms: Iterable[int]) -> int:
+        """The largest total degree of the packed terms."""
+        limit, shifts = self.limit, self.exp_shifts
+        return max(sum((u >> k) & limit for k in shifts) for u in terms)
+
     def reducer(self, terms: Dict[int, object]) -> tuple:
         lt = max(terms)
         tail = [(u, c) for u, c in terms.items() if u != lt]
@@ -461,7 +466,8 @@ class _Pairs:
 
     A generator's sugar is its total degree; a pair's sugar is the
     larger of ``sugar_k + deg lcm - deg lt_k`` over its two elements;
-    a stored remainder takes the sugar of its pair.  ``add`` stores a
+    a stored remainder takes the sugar of its pair, or its own total
+    degree when that is larger.  ``add`` stores a
     new leading term ``lt_h`` with its sugar and updates the queue:
 
     - B: an old pair goes when ``lt_h`` divides its lcm strictly, that
@@ -546,7 +552,9 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[P
         _subtract(step, spair, {}, [], fc, gc, g_tail, qg)
         rem = _reduce(pk, spair, red, step)
         if rem:
-            store(rem, sugar)
+            # a reducer of high degree can leave a remainder above the
+            # pair's sugar; the sugar never falls below the degree
+            store(rem, max(sugar, pk.degree(rem)))
     ring = gens[0].ring
     return [pk.polynomial(ring, step.to_field(e)) for e in elems]
 

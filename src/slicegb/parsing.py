@@ -18,10 +18,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .orders import TermOrder
-from .poly import Polynomial
+from .poly import Polynomial, _add_terms
 from .rings import PowerProduct, Ring, pp_degree
 
 
@@ -40,125 +40,127 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+/-]))")
+_KINDS = (None, "num", "name", "op")  # by the group that matched
 
-Token = Tuple[str, str, SourceSpan]  # kind, value, span
+Token = Tuple[str, str, int, int]  # kind, value, start, end
 
-# each level costs three frames of the recursive descent; this keeps a
+# each level costs two frames of the recursive descent; this keeps a
 # parse well inside Python's default recursion limit
 MAX_NESTING = 100
 
 
 def _tokenize(text: str) -> List[Token]:
     tokens: List[Token] = []
+    match = _TOKEN.match
     pos = 0
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = match(text, pos)
         if m is None:
             break
-        span = SourceSpan(m.start(m.lastindex), m.end(m.lastindex))
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1), span))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), span))
-        else:
-            tokens.append(("op", m.group(3), span))
+        group = m.lastindex
+        start, end = m.span(group)
+        tokens.append((_KINDS[group], text[start:end], start, end))
         pos = m.end()
     rest = text[pos:]
     if rest.strip():
         first = pos + (len(rest) - len(rest.lstrip()))
         raise ParseError("unexpected character", SourceSpan(first, first + 1), text)
-    tokens.append(("end", "", SourceSpan(len(text), len(text))))
+    tokens.append(("end", "", len(text), len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent that builds each term as one monomial: only a
+    parenthesised factor goes through ``Polynomial`` arithmetic, and a
+    sum collects its terms in one dict."""
+
     def __init__(self, ring: Ring, text: str):
         self.ring = ring
         self.text = text
         self.tokens = _tokenize(text)
         self.depth = 0
 
-    def peek(self, pos: int) -> Token:
-        return self.tokens[pos]
-
     def fail(self, message: str, pos: int):
-        raise ParseError(message, self.tokens[pos][2], self.text)
+        _, _, start, end = self.tokens[pos]
+        raise ParseError(message, SourceSpan(start, end), self.text)
 
     # poly := term (("+" | "-") term)*
     def poly(self, pos: int) -> Tuple[Polynomial, int]:
-        result, pos = self.term(pos)
+        terms: Dict[PowerProduct, Fraction] = {}
+        sign = 1
         while True:
-            kind, value, _ = self.peek(pos)
-            if kind == "op" and value in "+-":
-                rhs, pos = self.term(pos + 1)
-                result = result + rhs if value == "+" else result - rhs
-            else:
-                return result, pos
+            pos = self.term(pos, sign, terms)
+            kind, value, _, _ = self.tokens[pos]
+            if kind != "op" or value not in "+-":
+                return Polynomial(self.ring, terms), pos
+            sign = 1 if value == "+" else -1
+            pos += 1
 
     # term := ["-"] factor ("*" factor)*
-    def term(self, pos: int) -> Tuple[Polynomial, int]:
-        negate = False
-        kind, value, _ = self.peek(pos)
-        if kind == "op" and value == "-":
-            negate = True
-            pos += 1
-        result, pos = self.factor(pos)
-        while True:
-            kind, value, _ = self.peek(pos)
-            if kind == "op" and value == "*":
-                rhs, pos = self.factor(pos + 1)
-                result = result * rhs
-            else:
-                break
-        return (-result if negate else result), pos
-
     # factor := rational | var ["^" nat] | "(" poly ")"
-    def factor(self, pos: int) -> Tuple[Polynomial, int]:
-        kind, value, span = self.peek(pos)
-        if kind == "num":
-            num = int(value)
+    def term(self, pos: int, sign: int, into: Dict[PowerProduct, Fraction]) -> int:
+        """Parse a term, add ``sign`` times it into ``into`` and return
+        the position after it."""
+        tokens = self.tokens
+        kind, value, _, _ = tokens[pos]
+        if kind == "op" and value == "-":
+            sign = -sign
             pos += 1
-            kind, value, span2 = self.peek(pos)
-            if kind == "op" and value == "/":
-                dkind, dvalue, dspan = self.peek(pos + 1)
-                if dkind != "num":
-                    self.fail("expected integer denominator", pos + 1)
-                den = int(dvalue)
-                if den == 0:
-                    raise ParseError("zero denominator", dspan, self.text)
-                return Polynomial.constant(self.ring, Fraction(num, den)), pos + 2
-            return Polynomial.constant(self.ring, Fraction(num)), pos
-        if kind == "name":
-            if value not in self.ring.names:
-                raise ParseError(f"unknown variable {value!r}", span, self.text)
-            var = Polynomial.variable(self.ring, value)
+        num, den = sign, 1
+        exps = [0] * self.ring.arity
+        product = None  # of the parenthesised factors
+        while True:
+            kind, value, _, _ = tokens[pos]
+            if kind == "num":
+                num *= int(value)
+                pos += 1
+                if tokens[pos][:2] == ("op", "/"):
+                    dkind, dvalue, _, _ = tokens[pos + 1]
+                    if dkind != "num":
+                        self.fail("expected integer denominator", pos + 1)
+                    d = int(dvalue)
+                    if d == 0:
+                        self.fail("zero denominator", pos + 1)
+                    den *= d
+                    pos += 2
+            elif kind == "name":
+                if value not in self.ring.names:
+                    self.fail(f"unknown variable {value!r}", pos)
+                i = self.ring.index(value)
+                pos += 1
+                if tokens[pos][:2] == ("op", "^"):
+                    if tokens[pos + 1][0] != "num":
+                        self.fail("expected integer exponent", pos + 1)
+                    exps[i] += int(tokens[pos + 1][1])
+                    pos += 2
+                else:
+                    exps[i] += 1
+            elif kind == "op" and value == "(":
+                if self.depth == MAX_NESTING:
+                    self.fail(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                self.depth += 1
+                inner, pos = self.poly(pos + 1)
+                self.depth -= 1
+                if tokens[pos][:2] != ("op", ")"):
+                    self.fail("expected ')'", pos)
+                pos += 1
+                product = inner if product is None else product * inner
+            else:
+                self.fail("expected a rational, a variable, or '('", pos)
+            if tokens[pos][:2] != ("op", "*"):
+                break
             pos += 1
-            kind, value, _ = self.peek(pos)
-            if kind == "op" and value == "^":
-                ekind, evalue, _ = self.peek(pos + 1)
-                if ekind != "num":
-                    self.fail("expected integer exponent", pos + 1)
-                return var ** int(evalue), pos + 2
-            return var, pos
-        if kind == "op" and value == "(":
-            if self.depth == MAX_NESTING:
-                self.fail(f"parentheses nested deeper than {MAX_NESTING}", pos)
-            self.depth += 1
-            inner, pos = self.poly(pos + 1)
-            self.depth -= 1
-            kind, value, _ = self.peek(pos)
-            if not (kind == "op" and value == ")"):
-                self.fail("expected ')'", pos)
-            return inner, pos + 1
-        self.fail("expected a rational, a variable, or '('", pos)
+        if num:
+            c, t = Fraction(num, den), tuple(exps)
+            _add_terms(into, {t: c} if product is None else product.mul_term(t, c).terms)
+        return pos
 
 
 def parse_polynomial(ring: Ring, text: str) -> Polynomial:
     parser = _Parser(ring, text)
     result, pos = parser.poly(0)
-    kind, _, span = parser.peek(pos)
-    if kind != "end":
-        raise ParseError("trailing input after polynomial", span, text)
+    if parser.tokens[pos][0] != "end":
+        parser.fail("trailing input after polynomial", pos)
     return result
 
 

@@ -5,11 +5,19 @@ nonzero coefficients.  Coefficients are ``fractions.Fraction`` for
 ordinary polynomials over Q; the parametric layer reuses this class with
 rational-function coefficients, so arithmetic here only assumes field
 operations and truthiness (nonzero) on the coefficient objects.
+
+Substitution and composition over Q run on a private integer kernel
+instead: each polynomial becomes integer numerators over the lcm of its
+denominators, products are taken on int dicts, and each coefficient of
+the result becomes a ``Fraction`` once, at the end.  ``Fraction``
+arithmetic would pay a gcd on every product and sum.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, List, Tuple
 
 from .orders import TermOrder
@@ -242,6 +250,8 @@ class Polynomial:
     def substitute(self, i: int, value: "Polynomial") -> "Polynomial":
         """Replace variable ``i`` by ``value`` (a polynomial in the same ring)."""
         self._check(value)
+        if _over_q(self) and _over_q(value):
+            return self._substitute_q(i, value)
         powers = [Polynomial.constant(self.ring, 1)]
         for _ in range(self.degree_in(i)):
             powers.append(powers[-1] * value)
@@ -249,6 +259,27 @@ class Polynomial:
         for t, c in self.terms.items():
             _add_terms(terms, powers[t[i]].mul_term(t[:i] + (0,) + t[i + 1:], c).terms)
         return Polynomial(self.ring, terms)
+
+    def _substitute_q(self, i: int, value: "Polynomial") -> "Polynomial":
+        """``substitute`` on the integer kernel: with ``value = V / d`` and
+        top the degree in variable ``i``, ``x_i^k`` becomes
+        ``V^k d^(top - k)`` over ``d^top``."""
+        nums, den = _numerators(self)
+        vnums, vden = _numerators(value)
+        top = max(self.degree_in(i), 0)
+        powers = [{pp_one(self.ring.arity): 1}]
+        for _ in range(top):
+            powers.append(_int_mul(powers[-1], vnums))
+        scales = [vden ** (top - k) for k in range(top + 1)]
+        terms: Dict[PowerProduct, int] = {}
+        for t, c in nums.items():
+            k = t[i]
+            c *= scales[k]
+            rest = t[:i] + (0,) + t[i + 1:]
+            for u, d in powers[k].items():
+                u = tuple(map(add, rest, u))
+                terms[u] = terms.get(u, 0) + c * d
+        return _from_numerators(self.ring, terms, den * vden ** top)
 
     def evaluate(self, values: Iterable) -> object:
         """Full evaluation at a point; returns a coefficient-field element."""
@@ -292,26 +323,74 @@ class Polynomial:
 
 def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polynomial:
     """Apply the ring map sending each variable of ``f`` to the given
-    image polynomial (all images living in ``target``)."""
+    image polynomial (all images living in ``target``).
+
+    Over Q only: every coefficient of ``f`` and of the images must be a
+    ``Fraction``, or ``TypeError`` is raised.  With image ``j`` equal to
+    ``N_j / d_j`` and ``D_j`` the degree of ``f`` in variable ``j``, the
+    map is computed on the integer kernel over the one denominator
+    ``den(f) * prod d_j^D_j``."""
     imgs = list(images)
     if len(imgs) != f.ring.arity:
         raise ValueError("one image per variable required")
-    powers = [{0: Polynomial.constant(target, 1)} for _ in imgs]
+    if not all(_over_q(g) for g in [f, *imgs]):
+        raise TypeError("compose works over Q: every coefficient must be a Fraction")
+    nums, den = _numerators(f)
+    split = [_numerators(g) for g in imgs]
+    tops = [max(f.degree_in(j), 0) for j in range(f.ring.arity)]
+    one = pp_one(target.arity)
+    powers = [{0: {one: 1}} for _ in imgs]
 
-    def power(i: int, e: int) -> Polynomial:
-        cache = powers[i]
+    def power(j: int, e: int) -> Dict[PowerProduct, int]:
+        cache = powers[j]
         if e not in cache:
-            cache[e] = power(i, e - 1) * imgs[i]
+            cache[e] = _int_mul(power(j, e - 1), split[j][0])
         return cache[e]
 
-    terms: Dict[PowerProduct, object] = {}
-    for t, c in f.terms.items():
-        acc = Polynomial.constant(target, 1).scale(c)
-        for i, e in enumerate(t):
+    terms: Dict[PowerProduct, int] = {}
+    for t, c in nums.items():
+        for (_, d), e, top in zip(split, t, tops):
+            c *= d ** (top - e)
+        acc = {one: c}
+        for j, e in enumerate(t):
             if e:
-                acc = acc * power(i, e)
-        _add_terms(terms, acc.terms)
-    return Polynomial(target, terms)
+                acc = _int_mul(acc, power(j, e))
+        for u, c in acc.items():
+            terms[u] = terms.get(u, 0) + c
+    for (_, d), top in zip(split, tops):
+        den *= d ** top
+    return _from_numerators(target, terms, den)
+
+
+# -- the integer kernel over Q ---------------------------------------
+
+
+def _over_q(f: Polynomial) -> bool:
+    return all(type(c) is Fraction for c in f.terms.values())
+
+
+def _numerators(f: Polynomial) -> Tuple[Dict[PowerProduct, int], int]:
+    """The coefficients of ``f`` (over Q) as integer numerators over the
+    lcm of their denominators, and that lcm."""
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    return {t: c.numerator * (den // c.denominator) for t, c in f.terms.items()}, den
+
+
+def _int_mul(a: Dict[PowerProduct, int], b: Dict[PowerProduct, int]) -> Dict[PowerProduct, int]:
+    """The product of two polynomials with int coefficients."""
+    out: Dict[PowerProduct, int] = {}
+    get = out.get
+    for s, c in a.items():
+        for t, d in b.items():
+            u = tuple(map(add, s, t))
+            out[u] = get(u, 0) + c * d
+    return {u: c for u, c in out.items() if c}
+
+
+def _from_numerators(ring: Ring, terms: Dict[PowerProduct, int], den: int) -> Polynomial:
+    """The polynomial with coefficients ``terms[t] / den``; one
+    ``Fraction`` per nonzero coefficient."""
+    return Polynomial(ring, {t: Fraction(c, den) for t, c in terms.items() if c})
 
 
 def _add_terms(terms: Dict[PowerProduct, object], more: Dict[PowerProduct, object]) -> None:

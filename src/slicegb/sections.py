@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
@@ -316,41 +318,54 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
 # -- interpolation across parallel slices ----------------------------
 
 
-def _lagrange_basis(xs: Sequence[Fraction]) -> List[List[Fraction]]:
-    """Coefficients, low degree first, of each Lagrange basis polynomial
-    prod_{j != i} (x - xj) / (xi - xj) of the distinct nodes ``xs``."""
-    basis = []
-    for i, xi in enumerate(xs):
-        # numerator prod_{j != i} (x - xj), built incrementally
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            shifted = [Fraction(0)] + num
-            num = [a - xj * b for a, b in zip(shifted, num + [Fraction(0)])]
-            denom *= xi - xj
-        basis.append([b / denom for b in num])
-    return basis
+def _lagrange_basis(xs: Sequence[Fraction]) -> Tuple[List[List[int]], int]:
+    """The Lagrange basis polynomials prod_{j != i} (x - xj) / (xi - xj)
+    of the distinct nodes ``xs``, as integer rows over one denominator:
+    row k holds the degree-k coefficient of every basis polynomial, in
+    node order, times that denominator.
+
+    With B the lcm of the node denominators and X_j = B xj, basis
+    polynomial i is prod_{j != i} (B x - X_j) over the integer
+    prod_{j != i} (X_i - X_j); the denominator is the lcm of those."""
+    nodes, scale = _over_lcm(xs)
+    nums, weights = [], []
+    for i, xi in enumerate(nodes):
+        num, weight = [1], 1
+        for j, xj in enumerate(nodes):
+            if j != i:
+                num = [scale * a - xj * b for a, b in zip([0] + num, num + [0])]
+                weight *= xi - xj
+        nums.append(num)
+        weights.append(weight)
+    den = math.lcm(*weights)
+    rows = [[num[k] * (den // w) for num, w in zip(nums, weights)] for k in range(len(xs))]
+    return rows, den
 
 
-def _interpolate(basis: Sequence[List[Fraction]], ys: Sequence[Fraction]) -> List[Fraction]:
+def _interpolate(basis: Tuple[List[List[int]], int], ys: Sequence[int], den: int) -> List[Fraction]:
     """Coefficients, low degree first, of the polynomial taking the
-    values ``ys`` at the nodes of the Lagrange ``basis``."""
-    coeffs = [Fraction(0)] * len(basis)
-    for y, b in zip(ys, basis):
-        if y:
-            for k, c in enumerate(b):
-                coeffs[k] += y * c
+    values ``ys[k] / den`` (integer numerators) at the nodes of the
+    Lagrange ``basis``: one integer dot product per coefficient."""
+    rows, den_basis = basis
+    coeffs = [sum(map(operator.mul, ys, row)) for row in rows]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    return coeffs
+    den *= den_basis
+    return [Fraction(c, den) for c in coeffs]
 
 
 def lagrange_coefficients(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
     """Coefficients, low degree first, of the unique polynomial of
     degree < len(points) through the given (x, y) pairs."""
-    return _interpolate(_lagrange_basis([x for x, _ in points]), [y for _, y in points])
+    ys, den = _over_lcm([y for _, y in points])
+    return _interpolate(_lagrange_basis([x for x, _ in points]), ys, den)
+
+
+def _over_lcm(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over the lcm of their
+    denominators, and that lcm."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 @dataclass(frozen=True)
@@ -389,7 +404,10 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     The shared tail is absorbed into a triangular change of coordinates,
     after which each slice pins the pivot to a constant and every
     coefficient of the lifting is a univariate interpolation along the
-    pivot.  Each slice equation is re-verified on the result rather than
+    pivot.  The interpolation runs on integers: the slice values become
+    numerators over one shared denominator and each coefficient is a dot
+    product with a row of the integer Lagrange basis, made a ``Fraction``
+    once.  Each slice equation is re-verified on the result rather than
     assumed, in the sheared coordinates: undoing the shear maps the slice
     pivot = gamma there onto the cut pivot = tail + gamma exactly.
     """
@@ -401,11 +419,13 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
             raise ValueError("slice values must live in the ring without the pivot")
     ring = family.ring
     i = family.pivot
-    pps = sorted(set(itertools.chain.from_iterable(v.terms for v in values)))
     basis = _lagrange_basis(family.gammas)
+    # every slice value as integer numerators over one shared denominator
+    den = math.lcm(*(c.denominator for v in values for c in v.terms.values()))
+    columns = [{t: c.numerator * (den // c.denominator) for t, c in v.terms.items()} for v in values]
     terms: Dict[PowerProduct, Fraction] = {}
-    for t in pps:
-        for d, c in enumerate(_interpolate(basis, [v.terms.get(t, Fraction(0)) for v in values])):
+    for t in sorted(set(itertools.chain.from_iterable(columns))):
+        for d, c in enumerate(_interpolate(basis, [col.get(t, 0) for col in columns], den)):
             if c:
                 terms[pp_insert(t, i, d)] = c
     lifted = Polynomial(ring, terms)

@@ -1,0 +1,86 @@
+"""Golden command-line output: the stdout and exit code of a fixed call
+set over the files in ``tests/data``, compared byte for byte.
+
+The call set runs every ideal file under ``gb``, ``gb --json``, ``dim``,
+``section`` and ``lift`` at three orderings, the slice pipelines on both
+slice files, and ``implicitize`` on ``cubic_map.json`` in both modes.
+After a change that is meant to alter the output, rewrite the expected
+output with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from slicegb.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden" / "cli.json"
+
+# each ideal file with a cut whose tail sits below its pivot in every
+# ordering; only the last one avoids every leading term
+IDEAL_FILES = (
+    ("cone_sections.txt", "x0 -1/2*x3 -2"),
+    ("monomial_knot.txt", "x1 -3"),
+    ("twisted_surface.txt", "w -3"),
+)
+ORDERS = ("lex", "deglex", "degrevlex")
+SLICE_FILES = ("cubic_slices.json", "lemon_slices.json")
+
+
+def calls():
+    out = []
+    for name, cut in IDEAL_FILES:
+        for order in ORDERS:
+            flag = ["--order", order]
+            out += [
+                ["gb", *flag, name],
+                ["gb", "--json", *flag, name],
+                ["dim", *flag, name],
+                ["section", *flag, "--cut", cut, name],
+                ["lift", *flag, "--cut", cut, name, name],
+            ]
+    for name in SLICE_FILES:
+        for command in ("reconstruct", "common-lift", "reconstruct-surface"):
+            out.append([command, name])
+    for mode in ("eliminate", "slice"):
+        out.append(["implicitize", "--mode", mode, "cubic_map.json"])
+    return out
+
+
+def run(argv):
+    """Exit code and stdout of one in-process call; file names are read
+    from ``tests/data``."""
+    argv = [str(DATA / a) if a.endswith((".txt", ".json")) else a for a in argv]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _expected():
+    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+def test_golden_file_covers_the_call_set():
+    assert [entry["argv"] for entry in _expected()] == calls()
+
+
+@pytest.mark.parametrize("entry", _expected(), ids=lambda e: " ".join(e["argv"]))
+def test_cli_output_matches_golden(entry):
+    assert run(entry["argv"]) == (entry["exit"], entry["stdout"])
+
+
+if __name__ == "__main__":
+    entries = []
+    for argv in calls():
+        code, stdout = run(argv)
+        entries.append({"argv": argv, "exit": code, "stdout": stdout})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"{len(entries)} calls written to {GOLDEN}")

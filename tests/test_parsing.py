@@ -1,8 +1,10 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import polynomials
 from slicegb.orders import DegRevLex, Lex
@@ -56,12 +58,82 @@ def test_parse_zero_and_constants():
 @pytest.mark.parametrize("bad", [
     "", "2x", "x y", "x/2", "x^", "x^y", "2/0", "1/x", "(x", "x)", "x + ", "* x",
     "x ** 2", "w + 1", "x^-1", "x..y", "3 % 4",
+    "2*x*/3", "2*x^y", "3/0*x", "2*x*nope", "x*(y+1)*/2", "x*(y", "x*y^",
 ])
 def test_parse_errors_have_spans(bad):
     with pytest.raises(ParseError) as info:
         parse_polynomial(R, bad)
     span = info.value.span
     assert 0 <= span.start <= span.end <= len(bad)
+
+
+@pytest.mark.parametrize("bad, message, snippet", [
+    ("2*x*/3", "expected a rational, a variable, or '('", "/"),
+    ("2*x^y", "expected integer exponent", "y"),
+    ("3/0*x", "zero denominator", "0"),
+    ("2*x*nope", "unknown variable 'nope'", "nope"),
+    ("1/x*y", "expected integer denominator", "x"),
+    ("x*(y", "expected ')'", ""),
+    ("x*y/2", "trailing input after polynomial", "/"),
+])
+def test_errors_inside_a_product_point_at_the_token(bad, message, snippet):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse_polynomial(R, bad)
+    span = info.value.span
+    assert bad[span.start:span.end] == snippet
+
+
+# an expression of the grammar as text, with its value built by
+# Polynomial arithmetic; "-" separators before negated terms give "x - -y"
+SEPARATORS = ("+", "-", " + ", " - ")
+
+
+def _term(negate, factors):
+    text = ("-" if negate else "") + "*".join(t for t, _ in factors)
+    value = Polynomial.constant(R, 1)
+    for _, v in factors:
+        value = value * v
+    return text, -value if negate else value
+
+
+def _sum(terms, separators):
+    text, value = terms[0]
+    for sep, (t, v) in zip(separators, terms[1:]):
+        text += sep + t
+        value = value + v if sep.strip() == "+" else value - v
+    return text, value
+
+
+def _sums_of(factors):
+    terms = st.builds(_term, st.booleans(), st.lists(factors, min_size=1, max_size=3))
+    return st.builds(_sum, st.lists(terms, min_size=1, max_size=3),
+                     st.lists(st.sampled_from(SEPARATORS), min_size=2, max_size=2))
+
+
+RATIONALS = st.builds(
+    lambda n, d: (str(n) if d is None else f"{n}/{d}", Polynomial.constant(R, Fraction(n, d or 1))),
+    st.integers(0, 12), st.none() | st.integers(1, 6),
+)
+POWERS = st.builds(
+    lambda v, k: (v if k is None else f"{v}^{k}", Polynomial.variable(R, v) ** (1 if k is None else k)),
+    st.sampled_from(R.names), st.none() | st.integers(0, 4),
+)
+EXPRESSIONS = _sums_of(st.recursive(
+    RATIONALS | POWERS,
+    lambda inner: _sums_of(inner).map(lambda tv: (f"({tv[0]})", tv[1])),
+    max_leaves=6,
+))
+
+
+@settings(max_examples=100, deadline=None)
+@given(EXPRESSIONS)
+@example(("x - -y", Polynomial.variable(R, "x") + Polynomial.variable(R, "y")))
+@example(("2*x*3/4*x*y^0 -x^2*3/2", Polynomial.zero(R)))
+def test_parse_agrees_with_polynomial_arithmetic(expression):
+    text, value = expression
+    parsed = parse_polynomial(R, text)
+    assert parsed == value
+    assert all(parsed.terms.values())
 
 
 def test_nesting_depth_is_bounded():

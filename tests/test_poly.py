@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import fractions, polynomials
 from slicegb.orders import DegRevLex, Lex
 from slicegb.poly import Polynomial, compose
+from slicegb.ratfunc import RationalFunction
 from slicegb.rings import ring
 
 R2 = ring("x", "y")
@@ -135,6 +136,44 @@ def test_substitute_and_compose_agree_with_evaluation(f, i, value, images, point
     # the ring map x, y, z -> images, then evaluating, is evaluating at the images' values
     at = point[:2]
     assert compose(f, images, R2).evaluate(at) == f.evaluate([g.evaluate(at) for g in images])
+
+
+P = ring("a")
+
+
+def over_p(f):
+    """``f`` with each coefficient promoted to a constant rational
+    function, which ``substitute`` takes through its generic loop."""
+    return f.map_coefficients(lambda c: RationalFunction.constant(P, c))
+
+
+def back_to_q(f):
+    return f.map_coefficients(lambda c: c.as_polynomial().constant_value())
+
+
+DENOMINATED = fractions(max_num=9, max_den=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polynomials(R3, coeffs=DENOMINATED), st.integers(0, 2),
+       polynomials(R3, max_degree=2, max_terms=3, coeffs=DENOMINATED))
+def test_substitute_over_q_agrees_with_the_generic_loop(f, i, value):
+    kernel = f.substitute(i, value)
+    assert all(type(c) is Fraction for c in kernel.terms.values())
+    assert back_to_q(over_p(f).substitute(i, over_p(value))) == kernel
+    # the families path: rational-function coefficients, a value over Q
+    assert back_to_q(over_p(f).substitute(i, value)) == kernel
+
+
+def test_compose_rejects_coefficients_outside_q():
+    f, images = p("x^2 +1/2*y"), [p("x", R2), p("y", R2), p("x*y", R2)]
+    assert compose(f, images, R2) == p("x^2 +1/2*y", R2)
+    with pytest.raises(TypeError, match="over Q"):
+        compose(over_p(f), images, R2)
+    with pytest.raises(TypeError, match="over Q"):
+        compose(f, [over_p(g) for g in images], R2)
+    with pytest.raises(TypeError, match="over Q"):
+        compose(Polynomial(R3, {(1, 0, 0): 2}), images, R2)
 
 
 @settings(max_examples=60)

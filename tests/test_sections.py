@@ -338,6 +338,29 @@ def test_lagrange_interpolates(data):
         assert acc == y
 
 
+@given(st.lists(fractions(max_den=7), min_size=1, max_size=7, unique=True))
+def test_integer_lagrange_basis_is_one_at_its_node_and_zero_at_the_others(xs):
+    rows, den = sections._lagrange_basis(xs)
+    assert all(type(c) is int for row in rows for c in row)
+    for j, x in enumerate(xs):
+        at_x = [sum(row[i] * x ** k for k, row in enumerate(rows)) / den for i in range(len(xs))]
+        assert at_x == [1 if i == j else 0 for i in range(len(xs))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_polynomials(R3, max_degree=4, max_terms=6, coeffs=fractions(max_den=9)),
+       st.sampled_from([{}, {"z": Fraction(-3, 2)}, {"y": Fraction(2, 5), "z": Fraction(1)}]),
+       st.lists(fractions(max_num=5, max_den=7).filter(lambda g: g.denominator > 1),
+                min_size=7, max_size=7, unique=True),
+       st.integers(0, 2))
+def test_common_lifting_rebuilds_a_polynomial_on_fraction_nodes(g, tail, nodes, extra):
+    # nodes with denominators, axis and oblique cuts, and surplus slices
+    count = g.degree_in(0) + 1 + extra
+    fam = SliceFamily.of(R3, "x", nodes[:count], tail)
+    values = [form.apply(g) for form in fam.forms()]
+    assert common_lifting(fam, values) == g
+
+
 @given(st.lists(fractions(), min_size=1, max_size=6, unique=True), polynomials(R2, max_degree=3))
 def test_newton_extend_flags_the_slices_earlier_ones_predict(xs, h):
     # the flag is checked against Lagrange interpolation over the earlier
