@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .orders import DegRevLex, Elim, TermOrder
-from .poly import Polynomial
+from .poly import Polynomial, over_lcm
 from .rings import (
     PowerProduct,
     Ring,
@@ -155,13 +155,8 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
     content 1 and a positive leading coefficient."""
     if not f:
         return f
-    den = 1
-    for c in f.terms.values():
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    num = 0
-    for c in f.terms.values():
-        num = math.gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
+    nums, den = over_lcm(f.terms.values())
+    scale = Fraction(den, math.gcd(*nums))
     if f.leading_term(order)[0] < 0:
         scale = -scale
     return f.scale(scale)
@@ -174,19 +169,19 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # on the largest pending term.  What a division step does to the
 # coefficients is set by one of two step classes:
 #
-# - ``_Integers``, for Buchberger over Q with normalization on and for
-#   the interreduction over Q.  Coefficients are ints.  A remainder is
-#   rescaled to content 1 right away, so any positive multiple of the
-#   normal form serves: instead of dividing by a leading coefficient,
-#   the pending polynomial is scaled up by the smallest factor making
-#   the division exact, which avoids the gcd that every Fraction
-#   operation performs.
-# - ``_Field``, for Q(params) (``RationalFunction`` coefficients), for
-#   ``normalize=False`` and for ``normal_form``.  The step divides by
-#   the reducer's leading coefficient, so the remainder is the normal
-#   form itself, and stored elements are monic.
+# - ``_Integers``, for Buchberger and the interreduction over Q.
+#   Coefficients are ints.  A remainder is rescaled to content 1 right
+#   away, so any positive multiple of the normal form serves: instead of
+#   dividing by a leading coefficient, the pending polynomial is scaled
+#   up by the smallest factor making the division exact, which avoids
+#   the gcd that every Fraction operation performs.
+# - ``_Field``, for Q(params) (``RationalFunction`` coefficients) and
+#   for ``normal_form``.  The step divides by the reducer's leading
+#   coefficient, so the remainder is the normal form itself, and stored
+#   elements are monic.
 #
-# Both steps thus store the same elements up to constant factors.
+# Both steps thus store the same elements up to constant factors; the
+# tests check ``_Integers`` over Q against ``_Field``.
 #
 # A term is one plain int made of fields of ``bits`` value bits plus a
 # guard bit each: the order's weight rows (most significant first),
@@ -318,8 +313,8 @@ class _Integers:
 
     @staticmethod
     def pack(pk: _Packing, f: Polynomial) -> Dict[int, int]:
-        den = math.lcm(*(c.denominator for c in f.terms.values()))
-        return _content_one({pk.pack(t): c.numerator * (den // c.denominator) for t, c in f.terms.items()})
+        nums, _ = over_lcm(f.terms.values())
+        return _content_one(dict(zip(map(pk.pack, f.terms), nums)))
 
     @staticmethod
     def divide(c: int, lc: int) -> Tuple[int, int]:
@@ -559,19 +554,19 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[P
     return [pk.polynomial(ring, step.to_field(e)) for e in elems]
 
 
-def buchberger(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> List[Polynomial]:
+def buchberger(order: TermOrder, generators: Sequence[Polynomial]) -> List[Polynomial]:
     """A Groebner basis containing the nonzero generators (rescaled).
 
     Pairs are taken by lowest sugar and pruned by the Gebauer-Moeller
     criteria (see ``_Pairs``); every stored element stays a reducer, so
-    the result holds every remainder computed.  ``normalize`` scales intermediate elements to
-    integer content 1 (rational coefficients only); it never changes the
-    reduced basis obtained afterwards.
+    the result holds every remainder computed.  Over Q the elements are
+    scaled to integer coefficients with content 1 and a positive leading
+    coefficient; over Q(params) they are monic.
     """
     gens = [g for g in generators if g]
     if not gens:
         raise ValueError("Groebner basis of the zero ideal is undefined; no nonzero generators")
-    step = _Integers if normalize and _rational(gens) else _Field
+    step = _Integers if _rational(gens) else _Field
     return _packed_call(order, gens, lambda pk: _buchberger_packed(pk, gens, step))
 
 
@@ -591,8 +586,8 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
     return GroebnerBasis(order, tuple(reduced), is_minimal=True, is_reduced=True)
 
 
-def groebner_basis(order: TermOrder, generators: Sequence[Polynomial], normalize: bool = True) -> GroebnerBasis:
-    return reduce_basis(order, buchberger(order, generators, normalize))
+def groebner_basis(order: TermOrder, generators: Sequence[Polynomial]) -> GroebnerBasis:
+    return reduce_basis(order, buchberger(order, generators))
 
 
 def is_member(f: Polynomial, basis: GroebnerBasis) -> bool:
@@ -627,7 +622,7 @@ def check_reduced(order: TermOrder, polys: Sequence[Polynomial]) -> bool:
 # -- elimination, dimension, colon -----------------------------------
 
 
-def eliminate(ideal: Ideal, drop: Sequence[int], normalize: bool = True) -> Ideal:
+def eliminate(ideal: Ideal, drop: Sequence[int]) -> Ideal:
     """The ideal's intersection with the subring omitting the ``drop``
     variables, presented by its reduced basis there."""
     drop_set = sorted(set(drop))
@@ -636,7 +631,7 @@ def eliminate(ideal: Ideal, drop: Sequence[int], normalize: bool = True) -> Idea
     if ideal.is_zero:
         return Ideal.of(sub, [])
     order = Elim(ideal.ring.arity, drop_set)
-    basis = reduce_basis(order, buchberger(order, ideal.generators, normalize))
+    basis = reduce_basis(order, buchberger(order, ideal.generators))
     survivors = []
     for g in basis:
         if all(all(t[i] == 0 for i in drop_set) for t in g.terms):

@@ -10,7 +10,8 @@ Substitution and composition over Q run on a private integer kernel
 instead: each polynomial becomes integer numerators over the lcm of its
 denominators, products are taken on int dicts, and each coefficient of
 the result becomes a ``Fraction`` once, at the end.  ``Fraction``
-arithmetic would pay a gcd on every product and sum.
+arithmetic would pay a gcd on every product and sum.  ``over_lcm``
+clears denominators for the whole package.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, List, Tuple
+from typing import Collection, Dict, Iterable, List, Tuple
 
 from .orders import TermOrder
 from .rings import (
@@ -264,15 +265,16 @@ class Polynomial:
         """``substitute`` on the integer kernel: with ``value = V / d`` and
         top the degree in variable ``i``, ``x_i^k`` becomes
         ``V^k d^(top - k)`` over ``d^top``."""
-        nums, den = _numerators(self)
-        vnums, vden = _numerators(value)
+        nums, den = over_lcm(self.terms.values())
+        vnums, vden = over_lcm(value.terms.values())
+        vterms = dict(zip(value.terms, vnums))
         top = max(self.degree_in(i), 0)
         powers = [{pp_one(self.ring.arity): 1}]
         for _ in range(top):
-            powers.append(_int_mul(powers[-1], vnums))
+            powers.append(_int_mul(powers[-1], vterms))
         scales = [vden ** (top - k) for k in range(top + 1)]
         terms: Dict[PowerProduct, int] = {}
-        for t, c in nums.items():
+        for t, c in zip(self.terms, nums):
             k = t[i]
             c *= scales[k]
             rest = t[:i] + (0,) + t[i + 1:]
@@ -335,20 +337,20 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
         raise ValueError("one image per variable required")
     if not all(_over_q(g) for g in [f, *imgs]):
         raise TypeError("compose works over Q: every coefficient must be a Fraction")
-    nums, den = _numerators(f)
-    split = [_numerators(g) for g in imgs]
+    nums, den = over_lcm(f.terms.values())
+    split = [over_lcm(g.terms.values()) for g in imgs]
     tops = [max(f.degree_in(j), 0) for j in range(f.ring.arity)]
     one = pp_one(target.arity)
-    powers = [{0: {one: 1}} for _ in imgs]
+    powers = [{0: {one: 1}, 1: dict(zip(g.terms, g_nums))} for g, (g_nums, _) in zip(imgs, split)]
 
     def power(j: int, e: int) -> Dict[PowerProduct, int]:
         cache = powers[j]
         if e not in cache:
-            cache[e] = _int_mul(power(j, e - 1), split[j][0])
+            cache[e] = _int_mul(power(j, e - 1), cache[1])
         return cache[e]
 
     terms: Dict[PowerProduct, int] = {}
-    for t, c in nums.items():
+    for t, c in zip(f.terms, nums):
         for (_, d), e, top in zip(split, t, tops):
             c *= d ** (top - e)
         acc = {one: c}
@@ -369,11 +371,11 @@ def _over_q(f: Polynomial) -> bool:
     return all(type(c) is Fraction for c in f.terms.values())
 
 
-def _numerators(f: Polynomial) -> Tuple[Dict[PowerProduct, int], int]:
-    """The coefficients of ``f`` (over Q) as integer numerators over the
-    lcm of their denominators, and that lcm."""
-    den = math.lcm(*(c.denominator for c in f.terms.values()))
-    return {t: c.numerator * (den // c.denominator) for t, c in f.terms.items()}, den
+def over_lcm(qs: Collection[Fraction]) -> Tuple[List[int], int]:
+    """Rationals as integer numerators over the lcm of their
+    denominators, in order, and that lcm (1 for no rationals)."""
+    den = math.lcm(*(q.denominator for q in qs))
+    return [q.numerator * (den // q.denominator) for q in qs], den
 
 
 def _int_mul(a: Dict[PowerProduct, int], b: Dict[PowerProduct, int]) -> Dict[PowerProduct, int]:

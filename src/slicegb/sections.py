@@ -43,7 +43,7 @@ from .groebner import (
 )
 from .orders import DegRevLex, PivotDegRev, TermOrder, order_by_name
 from .parsing import ParseError, SourceSpan, parse_polynomial, parse_ring
-from .poly import Polynomial, compose
+from .poly import Polynomial, compose, over_lcm
 from .rings import PowerProduct, Ring, pp_divides, pp_insert
 
 # -- linear forms ----------------------------------------------------
@@ -327,7 +327,7 @@ def _lagrange_basis(xs: Sequence[Fraction]) -> Tuple[List[List[int]], int]:
     With B the lcm of the node denominators and X_j = B xj, basis
     polynomial i is prod_{j != i} (B x - X_j) over the integer
     prod_{j != i} (X_i - X_j); the denominator is the lcm of those."""
-    nodes, scale = _over_lcm(xs)
+    nodes, scale = over_lcm(xs)
     nums, weights = [], []
     for i, xi in enumerate(nodes):
         num, weight = [1], 1
@@ -357,15 +357,33 @@ def _interpolate(basis: Tuple[List[List[int]], int], ys: Sequence[int], den: int
 def lagrange_coefficients(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
     """Coefficients, low degree first, of the unique polynomial of
     degree < len(points) through the given (x, y) pairs."""
-    ys, den = _over_lcm([y for _, y in points])
+    ys, den = over_lcm([y for _, y in points])
     return _interpolate(_lagrange_basis([x for x, _ in points]), ys, den)
 
 
-def _over_lcm(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Rationals as integer numerators over the lcm of their
-    denominators, and that lcm."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
+def _columns(values: Sequence[Polynomial]) -> Tuple[List[PowerProduct], List[List[int]], int]:
+    """The terms of the slice ``values``, sorted; for each term its
+    column, the term's coefficient in every value in order; and the one
+    denominator that all columns are integer numerators over."""
+    nums, den = over_lcm([c for v in values for c in v.terms.values()])
+    rest = iter(nums)
+    # zip stops at the end of v.terms before it draws from rest
+    rows = [dict(zip(v.terms, rest)) for v in values]
+    terms = sorted(set().union(*rows))
+    return terms, [[row.get(t, 0) for row in rows] for t in terms], den
+
+
+def _agrees(nodes: Sequence[Fraction], values: Sequence[Polynomial]) -> bool:
+    """True when, term by term, the interpolant along the pivot of all
+    but the last slice already takes the last slice value ``values[-1]``
+    at ``nodes[-1]``.  That holds exactly when the interpolant of all the
+    slices has no term of degree ``len(nodes) - 1`` in the pivot, whose
+    coefficient is the top divided difference of Newton's form: the last
+    row of the Lagrange basis dotted with each column.  A single nonzero
+    slice value never agrees."""
+    top = _lagrange_basis(nodes)[0][-1]
+    _, columns, _ = _columns(values)
+    return not any(sum(map(operator.mul, top, col)) for col in columns)
 
 
 @dataclass(frozen=True)
@@ -420,12 +438,10 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     ring = family.ring
     i = family.pivot
     basis = _lagrange_basis(family.gammas)
-    # every slice value as integer numerators over one shared denominator
-    den = math.lcm(*(c.denominator for v in values for c in v.terms.values()))
-    columns = [{t: c.numerator * (den // c.denominator) for t, c in v.terms.items()} for v in values]
+    slice_terms, columns, den = _columns(values)
     terms: Dict[PowerProduct, Fraction] = {}
-    for t in sorted(set(itertools.chain.from_iterable(columns))):
-        for d, c in enumerate(_interpolate(basis, [col.get(t, 0) for col in columns], den)):
+    for t, col in zip(slice_terms, columns):
+        for d, c in enumerate(_interpolate(basis, col, den)):
             if c:
                 terms[pp_insert(t, i, d)] = c
     lifted = Polynomial(ring, terms)
@@ -604,28 +620,6 @@ def _slice_curve_job(args):
     return out.generators[0].monic(sub_order) if good else None
 
 
-def _newton_extend(table: Dict[PowerProduct, List[Fraction]], nodes: Sequence[Fraction],
-                   x: Fraction, value: Polynomial) -> bool:
-    """Extend ``table``, which holds for each term the Newton coefficients
-    along the pivot of its interpolant over ``nodes``, by the node ``x``
-    with slice value ``value``.  True when every new top coefficient is
-    zero, that is, when the interpolant over ``nodes`` already took
-    ``value`` at ``x``."""
-    scale = Fraction(1)
-    for xj in nodes:
-        scale *= x - xj
-    agrees = True
-    for t in table.keys() | value.terms.keys():
-        coeffs = table.setdefault(t, [Fraction(0)] * len(nodes))
-        at_x = Fraction(0)
-        for xj, a in zip(reversed(nodes), reversed(coeffs)):
-            at_x = at_x * (x - xj) + a
-        top = (value.terms.get(t, Fraction(0)) - at_x) / scale
-        coeffs.append(top)
-        agrees = agrees and not top
-    return agrees
-
-
 def implicitize(
     param_ring: Ring,
     coord_ring: Ring,
@@ -699,13 +693,12 @@ def implicitize(
                 continue  # degenerate slice, e.g. a lower-dimensional fiber
             lt = curve.leading_power_product(sub_order)
             if best_lt is None or sub_order.compare(lt, best_lt) > 0:
-                best_lt, nodes, curves, table = lt, [], [], {}
+                best_lt, nodes, curves = lt, [], []
             if lt != best_lt:
                 continue
-            agrees = _newton_extend(table, nodes, gamma, curve)
             nodes.append(gamma)
             curves.append(curve)
-            if agrees:
+            if _agrees(nodes, curves):
                 surface = common_lifting(SliceFamily(coord_ring, i, (), tuple(nodes)), curves)
                 # Vanishing under the parametrization is a full certificate
                 # here: any surplus factor would have to be constant on every

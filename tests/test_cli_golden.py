@@ -4,6 +4,9 @@ set over the files in ``tests/data``, compared byte for byte.
 The call set runs every ideal file under ``gb``, ``gb --json``, ``dim``,
 ``section`` and ``lift`` at three orderings, the slice pipelines on both
 slice files, and ``implicitize`` on ``cubic_map.json`` in both modes.
+Slice mode also runs on ``cubic_map.json`` at each pivot and at two
+jobs, and on ``pinch_map.json``, where the first interpolant the stop
+rule accepts fails the certificate and the scan reads on.
 After a change that is meant to alter the output, rewrite the expected
 output with
 
@@ -50,6 +53,10 @@ def calls():
             out.append([command, name])
     for mode in ("eliminate", "slice"):
         out.append(["implicitize", "--mode", mode, "cubic_map.json"])
+    slice_mode = ["implicitize", "--mode", "slice"]
+    for flag in (["--pivot", "y"], ["--pivot", "z"], ["--jobs", "2"]):
+        out.append([*slice_mode, *flag, "cubic_map.json"])
+    out.append([*slice_mode, "pinch_map.json"])
     return out
 
 

@@ -362,10 +362,10 @@ def test_common_lifting_rebuilds_a_polynomial_on_fraction_nodes(g, tail, nodes, 
 
 
 @given(st.lists(fractions(), min_size=1, max_size=6, unique=True), polynomials(R2, max_degree=3))
-def test_newton_extend_flags_the_slices_earlier_ones_predict(xs, h):
+def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
     # the flag is checked against Lagrange interpolation over the earlier
     # slices, term by term; past the pivot degree of h every slice agrees
-    table, nodes, earlier = {}, [], []
+    nodes, earlier = [], []
     for x in xs:
         value = LinearForm.of(R2, "x", gamma=x).apply(h)
         predicted = True
@@ -376,7 +376,7 @@ def test_newton_extend_flags_the_slices_earlier_ones_predict(xs, h):
             for c in reversed(coeffs):
                 at_x = at_x * x + c
             predicted = predicted and at_x == value.terms.get(t, Fraction(0))
-        assert sections._newton_extend(table, nodes, x, value) == predicted
+        assert sections._agrees(nodes + [x], earlier + [value]) == predicted
         if len(nodes) > max((t[0] for t in h.terms), default=0):
             assert predicted
         nodes.append(x)
