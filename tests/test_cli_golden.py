@@ -7,6 +7,9 @@ slice files, and ``implicitize`` on ``cubic_map.json`` in both modes.
 Slice mode also runs on ``cubic_map.json`` at each pivot and at two
 jobs, and on ``pinch_map.json``, where the first interpolant the stop
 rule accepts fails the certificate and the scan reads on.
+The JSON spellings of an ideal and of a family run ``gb``/``dim`` and
+the family commands, and ``cubic_detection.json`` runs
+``reconstruct-surface`` from points and curves.
 After a change that is meant to alter the output, rewrite the expected
 output with
 
@@ -34,6 +37,7 @@ IDEAL_FILES = (
 )
 ORDERS = ("lex", "deglex", "degrevlex")
 SLICE_FILES = ("cubic_slices.json", "lemon_slices.json")
+FAMILY_FILES = ("line_family.txt", "line_family.json")
 
 
 def calls():
@@ -57,6 +61,11 @@ def calls():
     for flag in (["--pivot", "y"], ["--pivot", "z"], ["--jobs", "2"]):
         out.append([*slice_mode, *flag, "cubic_map.json"])
     out.append([*slice_mode, "pinch_map.json"])
+    out += [["gb", "twisted_surface.json"], ["dim", "twisted_surface.json"]]
+    for name in FAMILY_FILES:
+        for command in (["family-gb"], ["ncc"], ["independent"], ["hough"], ["hough", "--point", "1,2"]):
+            out.append([*command, name])
+    out.append(["reconstruct-surface", "cubic_detection.json"])
     return out
 
 
