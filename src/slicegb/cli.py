@@ -33,7 +33,7 @@ from .families import (
 from .groebner import Ideal, colon_ideal, dimension, eliminate, groebner_basis, normal_form
 from .hough import detect, generic_hough_dimension, hough_ideal, load_detection_file
 from .orders import DegRevLex, order_by_name
-from .parsing import format_polynomial, parse_ideal_json, parse_ideal_text, parse_polynomial
+from .parsing import format_polynomial, parse_ideal_json, parse_ideal_text, parse_polynomial, read_rational
 from .rings import Ring
 from .sections import (
     LinearForm,
@@ -92,18 +92,14 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_ideal(path: str):
+def _load(path: str, from_json, from_text):
+    """A file in its JSON spelling when the name ends in ``.json``."""
     text = _read(path)
-    if path.endswith(".json"):
-        return parse_ideal_json(json.loads(text))
-    return parse_ideal_text(text)
+    return from_json(json.loads(text)) if path.endswith(".json") else from_text(text)
 
 
-def _load_family(path: str):
-    text = _read(path)
-    if path.endswith(".json"):
-        return parse_family_json(json.loads(text))
-    return parse_family_text(text)
+_load_ideal = functools.partial(_load, from_json=parse_ideal_json, from_text=parse_ideal_text)
+_load_family = functools.partial(_load, from_json=parse_family_json, from_text=parse_family_text)
 
 
 def _resolve_order(ring: Ring, flag: Optional[str], file_name: Optional[str]):
@@ -111,13 +107,7 @@ def _resolve_order(ring: Ring, flag: Optional[str], file_name: Optional[str]):
 
 
 def _parse_point(text: str) -> List[Fraction]:
-    try:
-        coords = [Fraction(v.strip()) for v in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad point {text!r}") from None
-    if not coords:
-        raise ValueError("empty point")
-    return coords
+    return [read_rational(v.strip(), "coordinate") for v in text.split(",")]
 
 
 def _parse_points(text: str) -> List[List[Fraction]]:
@@ -568,8 +558,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in _describe(err):
             print(line, file=sys.stderr)
         return 2
-    except (ValueError, OSError, ZeroDivisionError) as err:
-        # covers ParseError and json.JSONDecodeError
+    except (ValueError, OSError, ZeroDivisionError, RecursionError) as err:
+        # covers ParseError, json.JSONDecodeError and JSON nested too deep to decode
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (KeyError, TypeError) as err:

@@ -11,7 +11,6 @@ coefficients trace out, specialization, sections) reads off that basis.
 JSON and text descriptions of families are parsed here as well.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -27,8 +26,8 @@ from .groebner import (
     integer_normalize,
     reduce_basis,
 )
-from .orders import DegRevLex, TermOrder, order_by_name
-from .parsing import ParseError, SourceSpan, parse_polynomial, parse_ring
+from .orders import DegRevLex, TermOrder
+from .parsing import parse_polynomial, read_object, read_order, read_polynomials, read_rings, scan_lines
 from .poly import Polynomial, PowerProduct
 from .ratfunc import RationalFunction, polynomial_gcd
 from .rings import Ring
@@ -348,60 +347,15 @@ class FamilyFile:
 def parse_family_json(data: dict) -> FamilyFile:
     """``{"params": [...], "vars": [...], "generators": [...]}`` with an
     optional ``"order"`` name; generators use both variable sets."""
-    span = SourceSpan(0, 0)
-    text = json.dumps(data)
-    for key in ("params", "vars", "generators"):
-        if key not in data:
-            raise ParseError(f"missing {key!r}", span, text)
-    try:
-        params = Ring(tuple(data["params"]))
-        variables = Ring(tuple(data["vars"]))
-    except (TypeError, ValueError) as bad:
-        raise ParseError(f"bad ring description: {bad}", span, text) from None
-    if set(params.names) & set(variables.names):
-        raise ParseError("parameter and variable names overlap", span, text)
-    fam = Family.parse(params, variables, [str(s) for s in data["generators"]])
-    order_name = data.get("order")
-    if order_name is not None:
-        try:
-            order_by_name(variables, order_name)
-        except ValueError as bad:
-            raise ParseError(str(bad), span, text) from None
-    return FamilyFile(fam, order_name)
+    read_object(data, "params", "vars", "generators")
+    params, variables = read_rings(data["params"], data["vars"])
+    fam = Family.of(params, variables, read_polynomials(params.concat(variables), data["generators"]))
+    return FamilyFile(fam, read_order(data.get("order"), variables))
 
 
 def parse_family_text(text: str) -> FamilyFile:
     """Two ring headers (parameters first), an optional ``order:`` line,
     then one generator per line.  Blank lines and ``#`` comments are
     skipped."""
-    rings: List[Ring] = []
-    order_name = None
-    generators: List[str] = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        if body.startswith("QQ["):
-            if len(rings) == 2:
-                raise ParseError(
-                    "more than two ring headers", SourceSpan(0, 0), text
-                )
-            rings.append(parse_ring(body))
-            continue
-        if body.startswith("order:"):
-            order_name = body[len("order:"):].strip()
-            continue
-        generators.append(body)
-    if len(rings) != 2:
-        raise ParseError(
-            "expected a parameter ring header and a variable ring header",
-            SourceSpan(0, 0),
-            text,
-        )
-    if order_name is not None:
-        try:
-            order_by_name(rings[1], order_name)
-        except ValueError as bad:
-            raise ParseError(str(bad), SourceSpan(0, 0), text) from None
-    fam = Family.parse(rings[0], rings[1], generators)
-    return FamilyFile(fam, order_name)
+    (params, variables), order_name, lines = scan_lines(text, 2)
+    return FamilyFile(Family.parse(params, variables, lines), order_name)

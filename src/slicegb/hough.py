@@ -29,7 +29,7 @@ from .groebner import (
     monomial_dimension,
 )
 from .orders import DegRevLex, TermOrder
-from .parsing import ParseError, SourceSpan, parse_polynomial
+from .parsing import read_list, read_object, read_polynomial, read_rational, read_slices, read_variable
 from .poly import Polynomial
 from .rings import Ring, pp_degree, pp_one
 from .sections import SliceFamily, map_slices, reconstruct_basis
@@ -337,48 +337,16 @@ def parse_detection_json(data: dict) -> DetectionFile:
     """``{"template": {...}, "pivot": name, "slices": [{"gamma": "p/q",
     "points": [[...], ...]}, ...]}``; a slice may carry a ``"curve"``
     string instead of points."""
-    span = SourceSpan(0, 0)
-    text = json.dumps(data)
-    for key in ("template", "pivot", "slices"):
-        if key not in data:
-            raise ParseError(f"missing {key!r}", span, text)
-    ff = parse_family_json(data["template"])
+    ff = parse_family_json(read_object(data, "template", "pivot", "slices")["template"])
     fam = ff.family
-    pivot = str(data["pivot"])
-    if pivot in fam.ring.names or pivot in fam.params.names:
-        raise ParseError("pivot name collides with the template rings", span, text)
+    pivot = read_variable(data["pivot"], fam.params.concat(fam.ring), "pivot", fresh=True)
     slices: List[Tuple[Fraction, object]] = []
-    seen = set()
-    for entry in data["slices"]:
-        if "gamma" not in entry:
-            raise ParseError("slice without 'gamma'", span, text)
-        try:
-            gamma = Fraction(str(entry["gamma"]))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(
-                f"bad slice constant {entry['gamma']!r}", span, text
-            ) from None
-        if gamma in seen:
-            raise ParseError(f"duplicate slice constant {gamma}", span, text)
-        seen.add(gamma)
-        has_points = "points" in entry
-        has_curve = "curve" in entry
-        if has_points == has_curve:
-            raise ParseError("each slice needs 'points' or 'curve'", span, text)
-        if has_curve:
-            slices.append((gamma, parse_polynomial(fam.ring, str(entry["curve"]))))
-            continue
-        points = []
-        for raw in entry["points"]:
-            if len(raw) != fam.ring.arity:
-                raise ParseError(
-                    f"point {raw} has the wrong number of coordinates", span, text
-                )
-            try:
-                points.append(tuple(Fraction(str(v)) for v in raw))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad coordinate in {raw}", span, text) from None
-        slices.append((gamma, points))
+    for gamma, key, value in read_slices(data["slices"], "points", "curve"):
+        if key == "curve":
+            slices.append((gamma, read_polynomial(fam.ring, value)))
+        else:
+            points = [read_list(p, "a point", fam.ring.arity) for p in read_list(value, "'points'")]
+            slices.append((gamma, [tuple(read_rational(v, "coordinate") for v in p) for p in points]))
     return DetectionFile(fam, ff.order_name, pivot, slices)
 
 

@@ -16,11 +16,12 @@ Parentheses nest at most ``MAX_NESTING`` deep.
 from __future__ import annotations
 
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .orders import TermOrder
+from .orders import TermOrder, order_by_name
 from .poly import Polynomial, _add_terms
 from .rings import PowerProduct, Ring, pp_degree
 
@@ -165,23 +166,25 @@ def parse_polynomial(ring: Ring, text: str) -> Polynomial:
 
 
 _RING_RE = re.compile(r"\s*QQ\[\s*([^\]]*)\]\s*$")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 def parse_ring(text: str) -> Ring:
     m = _RING_RE.match(text)
     if m is None:
         raise ParseError("expected a ring header like QQ[x,y,z]", SourceSpan(0, min(len(text), 8)), text)
-    body = m.group(1)
-    names = tuple(v.strip() for v in body.split(",")) if body.strip() else ()
+    return _ring([v.strip() for v in m.group(1).split(",")] if m.group(1).strip() else [], text)
+
+
+def _ring(names: list, value) -> Ring:
     if not names:
-        raise ParseError("ring needs at least one variable", SourceSpan(0, len(text)), text)
+        raise _reject("ring needs at least one variable", value)
     for name in names:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", name):
-            raise ParseError(f"bad variable name {name!r}", SourceSpan(0, len(text)), text)
-    try:
-        return Ring(names)
-    except ValueError as exc:
-        raise ParseError(str(exc), SourceSpan(0, len(text)), text) from None
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
+            raise _reject(f"bad variable name {name!r}", value)
+    if len(set(names)) < len(names):
+        raise _reject("duplicate variable names", value)
+    return Ring(tuple(names))
 
 
 # -- printing --------------------------------------------------------
@@ -238,6 +241,131 @@ def format_polynomial(order: TermOrder, f: Polynomial) -> str:
     return " ".join(pieces)
 
 
+# -- input fields ----------------------------------------------------
+# Every file format spells its fields with these readers, so a field
+# reads the same in all of them; a rejection shows the offending value.
+
+
+def _reject(message: str, value) -> ParseError:
+    text = value[:60] if isinstance(value, str) else reprlib.repr(value)
+    return ParseError(message, SourceSpan(0, len(text)), text)
+
+
+def read_object(value, *keys: str) -> dict:
+    """A JSON object that holds every one of ``keys``."""
+    if not isinstance(value, dict):
+        raise _reject("expected a JSON object", value)
+    for key in keys:
+        if key not in value:
+            raise _reject(f"missing {key!r}", value)
+    return value
+
+
+def read_list(value, what: str, count: Optional[int] = None) -> list:
+    """A JSON list, of ``count`` entries when given."""
+    if not isinstance(value, list):
+        raise _reject(f"{what} must be a JSON list", value)
+    if count is not None and len(value) != count:
+        raise _reject(f"{what} has the wrong number of entries ({count} expected)", value)
+    return value
+
+
+def read_rings(*values) -> List[Ring]:
+    """Ring fields, each a header like ``QQ[x,y]`` or a list of names,
+    no two of which share a name."""
+    rings = [parse_ring(v) if isinstance(v, str) else _ring(read_list(v, "a ring"), v) for v in values]
+    names = [v for r in rings for v in r.names]
+    if len(set(names)) < len(names):
+        raise _reject("the rings' variable names overlap", list(values))
+    return rings
+
+
+def read_order(value, ring: Ring) -> Optional[str]:
+    """An optional ordering name that ``order_by_name`` resolves over ``ring``."""
+    if value is not None:
+        if not isinstance(value, str):
+            raise _reject("an ordering must be a name", value)
+        try:
+            order_by_name(ring, value)
+        except (ValueError, KeyError) as bad:
+            raise _reject(bad.args[0], value) from None
+    return value
+
+
+def read_variable(value, ring: Ring, what: str, fresh: bool = False) -> str:
+    """A variable name: one of ``ring``'s, or with ``fresh`` a new one
+    outside it."""
+    if not isinstance(value, str) or not _NAME.fullmatch(value):
+        raise _reject(f"{what} must be a variable name", value)
+    if (value in ring.names) == fresh:
+        relation = "collides with" if fresh else "is not"
+        raise _reject(f"{what} {value!r} {relation} a variable of {ring}", value)
+    return value
+
+
+def read_rational(value, what: str) -> Fraction:
+    """A rational: a JSON number or a string like ``-3/4``."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _reject(f"bad {what}", value)
+
+
+def read_polynomial(ring: Ring, value) -> Polynomial:
+    """A polynomial: a string in the grammar above, or an integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = str(value)
+    if not isinstance(value, str):
+        raise _reject("a polynomial must be a string", value)
+    return parse_polynomial(ring, value)
+
+
+def read_polynomials(ring: Ring, value, count: Optional[int] = None) -> List[Polynomial]:
+    """A JSON list of polynomials, ``count`` of them when given."""
+    return [read_polynomial(ring, v) for v in read_list(value, "a polynomial list", count)]
+
+
+def read_slices(value, *keys: str) -> List[Tuple[Fraction, str, object]]:
+    """A non-empty list of slices, each an object with a distinct
+    rational ``gamma`` and exactly one of ``keys``, as triples of the
+    gamma, the key present and its value."""
+    if not read_list(value, "'slices'"):
+        raise _reject("'slices' must not be empty", value)
+    out = []
+    for entry in value:
+        if "gamma" not in read_object(entry):
+            raise _reject("slice without 'gamma'", entry)
+        gamma = read_rational(entry["gamma"], "slice constant")
+        if any(gamma == g for g, _, _ in out):
+            raise _reject(f"duplicate slice constant {gamma}", entry)
+        present = [k for k in keys if k in entry]
+        if len(present) != 1:
+            raise _reject(f"each slice needs {' or '.join(map(repr, keys))}", entry)
+        out.append((gamma, present[0], entry[present[0]]))
+    return out
+
+
+def scan_lines(text: str, headers: int) -> Tuple[List[Ring], Optional[str], List[str]]:
+    """The text formats: ``headers`` ring header lines, an optional
+    ``order:`` line checked against the last ring, then one polynomial
+    per line.  Blank lines and ``#`` comments are skipped; the rings,
+    the ordering name and the polynomial lines are returned."""
+    lines = [s for s in (line.split("#", 1)[0].strip() for line in text.splitlines()) if s]
+    if len(lines) < headers:
+        raise ParseError("missing ring header", SourceSpan(0, 0), text)
+    rings = read_rings(*lines[:headers])
+    body = lines[headers:]
+    order_name = None
+    if body and body[0].startswith("order:"):
+        order_name = read_order(body.pop(0)[len("order:"):].strip(), rings[-1])
+    for line in body:
+        if line.startswith(("order:", "QQ[")):
+            raise _reject("ring headers and the order line must come before the polynomials", line)
+    return rings, order_name, body
+
+
 # -- ideal files -----------------------------------------------------
 
 
@@ -251,36 +379,12 @@ class IdealFile:
 def parse_ideal_text(text: str) -> IdealFile:
     """Ideal file: a ring header, an optional ``order:`` line, then one
     polynomial per line.  Blank lines and ``#`` comments are skipped."""
-    lines = text.splitlines()
-    ring = None
-    order_name = None
-    generators: List[Polynomial] = []
-    for line in lines:
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if ring is None:
-            ring = parse_ring(stripped)
-            continue
-        if stripped.startswith("order:"):
-            if order_name is not None or generators:
-                raise ParseError("order line must directly follow the ring header",
-                                 SourceSpan(0, len(stripped)), stripped)
-            order_name = stripped.split(":", 1)[1].strip()
-            continue
-        generators.append(parse_polynomial(ring, stripped))
-    if ring is None:
-        raise ParseError("missing ring header", SourceSpan(0, 0), text)
-    return IdealFile(ring, order_name, generators)
+    (ring,), order_name, lines = scan_lines(text, 1)
+    return IdealFile(ring, order_name, [parse_polynomial(ring, s) for s in lines])
 
 
 def parse_ideal_json(data: dict) -> IdealFile:
-    if not isinstance(data, dict) or "ring" not in data:
-        raise ParseError("ideal JSON needs a 'ring' list", SourceSpan(0, 0), str(data)[:40])
-    names = data["ring"]
-    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
-        raise ParseError("'ring' must be a list of variable names", SourceSpan(0, 0), str(names)[:40])
-    ring = Ring(tuple(names))
-    order_name = data.get("order")
-    gens = [parse_polynomial(ring, s) for s in data.get("generators", [])]
-    return IdealFile(ring, order_name, gens)
+    """``{"ring": ..., "generators": [...]}`` with an optional ``"order"``."""
+    (ring,) = read_rings(read_object(data, "ring")["ring"])
+    order_name = read_order(data.get("order"), ring)
+    return IdealFile(ring, order_name, read_polynomials(ring, data.get("generators", [])))

@@ -42,7 +42,15 @@ from .groebner import (
     zero_divisor_witness,
 )
 from .orders import DegRevLex, PivotDegRev, TermOrder, order_by_name
-from .parsing import ParseError, SourceSpan, parse_polynomial, parse_ring
+from .parsing import (
+    read_object,
+    read_order,
+    read_polynomials,
+    read_rational,
+    read_rings,
+    read_slices,
+    read_variable,
+)
 from .poly import Polynomial, compose, over_lcm
 from .rings import PowerProduct, Ring, pp_divides, pp_insert
 
@@ -729,27 +737,14 @@ def parse_slice_json(data: dict) -> SliceFile:
     "pivot": "x", "tail": {"y": "1/2"}, "slices": [{"gamma": "2",
     "generators": ["y^2 -2"]}, ...]}.  Generators are read in the ring
     without the pivot; "tail" and "order" are optional."""
-    if not isinstance(data, dict):
-        raise ParseError("slice JSON must be an object", SourceSpan(0, 0), str(data)[:40])
-    for field in ("ring", "pivot", "slices"):
-        if field not in data:
-            raise ParseError(f"slice JSON needs {field!r}", SourceSpan(0, 0), str(data)[:40])
-    ring = parse_ring(data["ring"]) if isinstance(data["ring"], str) else Ring(tuple(data["ring"]))
-    order = order_by_name(ring, data.get("order", "degrevlex"))
-    tail = {str(v): Fraction(str(c)) for v, c in (data.get("tail") or {}).items()}
-    entries = data["slices"]
-    if not isinstance(entries, list) or not entries:
-        raise ParseError("'slices' must be a non-empty list", SourceSpan(0, 0), str(entries)[:40])
-    sub = SliceFamily.of(ring, str(data["pivot"]), [0], tail).sub_ring()
-    gammas = []
-    bases = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "gamma" not in entry or "generators" not in entry:
-            raise ParseError("each slice needs 'gamma' and 'generators'",
-                             SourceSpan(0, 0), str(entry)[:40])
-        gammas.append(Fraction(str(entry["gamma"])))
-        bases.append([parse_polynomial(sub, s) for s in entry["generators"]])
-    return SliceFile(SliceFamily.of(ring, str(data["pivot"]), gammas, tail), order, bases)
+    (ring,) = read_rings(read_object(data, "ring", "pivot", "slices")["ring"])
+    order = order_by_name(ring, read_order(data.get("order"), ring) or "degrevlex")
+    pivot = read_variable(data["pivot"], ring, "pivot")
+    tail = {read_variable(v, ring, "tail variable"): read_rational(c, "tail coefficient")
+            for v, c in read_object(data.get("tail") or {}).items()}
+    slices = read_slices(data["slices"], "generators")
+    bases = [read_polynomials(ring.drop(ring.index(pivot)), gens) for _, _, gens in slices]
+    return SliceFile(SliceFamily.of(ring, pivot, [g for g, _, _ in slices], tail), order, bases)
 
 
 def load_slice_file(text: str) -> SliceFile:
@@ -772,39 +767,11 @@ def parse_map_json(data: dict) -> MapFile:
     """Polynomial map: {"params": "QQ[s,t]", "coords": "QQ[x,y,z]",
     "images": ["s", "t", "s^2 +t^3"]}.  Ring fields also accept plain
     name lists; "pivot" and "order" are optional."""
-    span = SourceSpan(0, 0)
-    text = json.dumps(data) if isinstance(data, (dict, list)) else str(data)
-    if not isinstance(data, dict):
-        raise ParseError("map JSON must be an object", span, text[:40])
-    for field in ("params", "coords", "images"):
-        if field not in data:
-            raise ParseError(f"map JSON needs {field!r}", span, text[:40])
-    rings = []
-    for field in ("params", "coords"):
-        raw = data[field]
-        rings.append(parse_ring(raw) if isinstance(raw, str) else Ring(tuple(raw)))
-    param_ring, coord_ring = rings
-    if set(param_ring.names) & set(coord_ring.names):
-        raise ParseError("parameter and coordinate names overlap", span, text[:40])
-    images = data["images"]
-    if not isinstance(images, list) or len(images) != coord_ring.arity:
-        raise ParseError(
-            f"'images' must list one polynomial per coordinate "
-            f"({coord_ring.arity} expected)", span, text[:40]
-        )
-    parsed = [parse_polynomial(param_ring, str(s)) for s in images]
-    pivot = data.get("pivot")
-    if pivot is not None:
-        pivot = str(pivot)
-        if pivot not in coord_ring.names:
-            raise ParseError(f"pivot {pivot!r} is not a coordinate", span, text[:40])
-    order_name = data.get("order")
-    if order_name is not None:
-        try:
-            order_by_name(coord_ring, str(order_name))
-        except ValueError as bad:
-            raise ParseError(str(bad), span, text[:40]) from None
-    return MapFile(param_ring, coord_ring, parsed, pivot, order_name)
+    read_object(data, "params", "coords", "images")
+    param_ring, coord_ring = read_rings(data["params"], data["coords"])
+    images = read_polynomials(param_ring, data["images"], coord_ring.arity)
+    pivot = None if data.get("pivot") is None else read_variable(data["pivot"], coord_ring, "pivot")
+    return MapFile(param_ring, coord_ring, images, pivot, read_order(data.get("order"), coord_ring))
 
 
 def load_map_file(text: str) -> MapFile:

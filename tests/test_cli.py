@@ -288,6 +288,24 @@ def test_deeply_nested_polynomial_exits_1(tmp_path):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("gb", {"ring": ["x", "y"], "order": 5, "generators": ["x"]}),
+    ("family-gb", {"params": ["a"], "vars": ["x"], "generators": ["x -a"], "order": 5}),
+    ("common-lift", {"ring": "QQ[x,y,z]", "pivot": "x", "tail": [1],
+                     "slices": [{"gamma": "1", "generators": ["y"]}]}),
+    ("gb", "[" * 100000),
+], ids=["ideal-order", "family-order", "slice-tail", "deep-json"])
+def test_malformed_json_field_exits_1(tmp_path, command, doc):
+    # a fresh interpreter, so that an uncaught error would print its traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(slicegb.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "slicegb", command, str(bad)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 def test_broken_json_exits_1(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"ring": [')

@@ -384,6 +384,13 @@ def test_parse_family_json():
         ({"params": ["a"], "vars": ["x"], "generators": ["x +"]}, "expected"),
         ({"params": ["a"], "vars": ["x"], "order": "mystery", "generators": []},
          "unknown ordering"),
+        ({"params": ["a"], "vars": ["x"], "order": 5, "generators": []}, "ordering must be a name"),
+        ({"params": "ab", "vars": ["x"], "generators": ["x -a*b"]}, "ring header"),
+        ({"params": [], "vars": ["x"], "generators": ["x"]}, "at least one variable"),
+        ({"params": ["a"], "vars": ["x"], "generators": "x"}, "must be a JSON list"),
+        ({"params": ["a"], "vars": ["x"], "generators": "x-a"}, "must be a JSON list"),
+        ({"params": ["a"], "vars": ["x"], "generators": {"x": 1}}, "must be a JSON list"),
+        ({"params": ["a"], "vars": ["x"], "generators": [["x"]]}, "must be a string"),
     ],
 )
 def test_parse_family_json_rejects(data, message):
@@ -412,3 +419,14 @@ def test_parse_family_text_needs_both_headers():
         parse_family_text("QQ[a]\nx\n")
     with pytest.raises(ParseError, match="unknown ordering"):
         parse_family_text("QQ[a]\nQQ[x]\norder: sideways\nx\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("QQ[a]\nx\nQQ[x]\n", "header"),
+    ("QQ[a]\nQQ[a,x]\nx\n", "overlap"),
+    ("QQ[a]\nQQ[x]\nx\norder: lex\n", "must come before the polynomials"),
+    ("QQ[a]\nQQ[x]\nQQ[y]\nx\n", "must come before the polynomials"),
+])
+def test_parse_family_text_rejects(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_family_text(text)

@@ -17,6 +17,7 @@ from slicegb.parsing import (
     parse_ideal_text,
     parse_polynomial,
     parse_ring,
+    read_rational,
 )
 from slicegb.poly import Polynomial
 from slicegb.rings import ring
@@ -217,3 +218,59 @@ def test_parse_ideal_json():
         parse_ideal_json({"generators": ["x"]})
     with pytest.raises(ParseError):
         parse_ideal_json({"ring": "xyz"})
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "expected a JSON object"),
+    ({"generators": ["x"]}, "missing 'ring'"),
+    ({"ring": []}, "at least one variable"),
+    ({"ring": ["x", "x"]}, "duplicate"),
+    ({"ring": ["x", "1y"]}, "bad variable name '1y'"),
+    ({"ring": ["x", 2]}, "bad variable name 2"),
+    ({"ring": {"x": 1}}, "must be a JSON list"),
+    ({"ring": ["x", "y"], "order": 5}, "ordering must be a name"),
+    ({"ring": ["x", "y"], "order": "sideways"}, "unknown ordering"),
+    ({"ring": ["x", "y"], "order": "degrev:w"}, "no variable 'w'"),
+    ({"ring": ["x", "y"], "generators": "x"}, "must be a JSON list"),
+    ({"ring": ["x", "y"], "generators": "x-y"}, "must be a JSON list"),
+    ({"ring": ["x", "y"], "generators": [None]}, "must be a string"),
+    ({"ring": ["x", "y"], "generators": [True]}, "must be a string"),
+])
+def test_parse_ideal_json_rejects(data, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_ideal_json(data)
+
+
+def test_json_errors_show_the_offending_value():
+    with pytest.raises(ParseError) as info:
+        parse_ideal_json({"ring": ["x", "y"], "order": "sideways"})
+    assert str(info.value).endswith("at 0..8: 'sideways'")
+    with pytest.raises(ParseError) as info:
+        parse_ideal_json({"ring": ["x", "y"], "generators": ["x", 0.5]})
+    assert info.value.text == "0.5"
+    # a deep value is shown cut short
+    with pytest.raises(ParseError) as info:
+        parse_ideal_json({"ring": ["x"], "order": [[[[[[[["x"]]]]]]]]})
+    assert "..." in info.value.text and len(info.value.text) < 40
+
+
+def test_json_reads_integer_polynomials_and_numeric_rationals():
+    parsed = parse_ideal_json({"ring": "QQ[x]", "generators": [3, "x"]})
+    assert parsed.generators == [parse_polynomial(ring("x"), "3"), parse_polynomial(ring("x"), "x")]
+    assert read_rational(0.5, "constant") == Fraction(1, 2)
+    assert read_rational("-3/4", "constant") == Fraction(-3, 4)
+    for bad in (True, None, [1], "1/0", "nan", float("inf")):
+        with pytest.raises(ParseError, match="bad constant"):
+            read_rational(bad, "constant")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("QQ[x]\norder: sideways\nx\n", "unknown ordering"),
+    ("QQ[x]\norder:\nx\n", "unknown ordering"),
+    ("QQ[x]\norder: degrev:y\nx\n", "no variable 'y'"),
+    ("QQ[x]\norder: lex\norder: lex\nx\n", "must come before the polynomials"),
+    ("x\nQQ[x]\n", "ring header"),
+])
+def test_parse_ideal_text_rejects(text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_ideal_text(text)
