@@ -343,6 +343,9 @@ def test_detection_file_round_trip():
         (lambda d: d.pop("pivot"), "missing 'pivot'"),
         (lambda d: d.pop("slices"), "missing 'slices'"),
         (lambda d: d.update(pivot="x"), "collides"),
+        (lambda d: d.update(pivot=5), "must be a variable name"),
+        (lambda d: d.update(slices=[]), "must not be empty"),
+        (lambda d: d["slices"][0].update(points="ab"), "must be a JSON list"),
         (lambda d: d["slices"][0].pop("gamma"), "without 'gamma'"),
         (lambda d: d["slices"][0].update(gamma="two"), "bad slice constant"),
         (lambda d: d["slices"][1].update(gamma="0"), "duplicate"),

@@ -798,6 +798,9 @@ def test_load_slice_file_with_tail():
         '{"ring": "QQ[x,y]", "pivot": "x", "slices": [{"gamma": "1"}]}',
         '{"ring": "QQ[x,y]", "pivot": "w", "slices": [{"gamma": "1", "generators": []}]}',
         '{"ring": "QQ[x,y]", "pivot": "x", "slices": [{"gamma": "1", "generators": ["x"]}]}',
+        '{"ring": "QQ[x,y]", "pivot": "x", "tail": [1], "slices": [{"gamma": "1", "generators": ["y"]}]}',
+        '{"ring": "QQ[x,y]", "pivot": "x", "order": 5, "slices": [{"gamma": "1", "generators": ["y"]}]}',
+        '{"ring": "QQ[x,y]", "pivot": "x", "slices": [{"gamma": "1", "generators": "y"}]}',
     ],
 )
 def test_load_slice_file_errors(text):
