@@ -105,6 +105,22 @@ def solve_exact(rows: List[List[Fraction]], rhs: List[Fraction]) -> Optional[Lis
     return x
 
 
+def rank_exact(rows: List[List[Fraction]]) -> int:
+    """The rank of a matrix over Q, by Gaussian elimination."""
+    a = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        sel = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if sel is None:
+            continue
+        a[rank], a[sel] = a[sel], a[rank]
+        for r in range(rank + 1, len(a)):
+            factor = a[r][col] / a[rank][col]
+            a[r] = [v - factor * w for v, w in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
 def member_with_bound(generators: Sequence[Polynomial], f: Polynomial, degree_bound: int) -> bool:
     """Does f equal some combination sum h_i g_i with deg h_i <= bound?
 

@@ -35,6 +35,7 @@ COMMANDS = {
     "twisted_surface.json": ["gb"],
     "line_family.txt": ["family-gb"],
     "line_family.json": ["family-gb"],
+    "conic_family.txt": ["family-gb"],
     "lemon_slices.json": ["reconstruct"],
     "cubic_slices.json": ["reconstruct-surface"],
     "cubic_detection.json": ["reconstruct-surface"],

@@ -10,6 +10,11 @@ rule accepts fails the certificate and the scan reads on.
 The JSON spellings of an ideal and of a family run ``gb``/``dim`` and
 the family commands, and ``cubic_detection.json`` runs
 ``reconstruct-surface`` from points and curves.
+``line_family.txt`` also runs ``sigma-scheme`` and a ``family-section``
+whose cut avoids every leading term.  ``conic_family.txt``, whose basis
+carries the denominator ``a2^2 +a1``, runs ``family-gb`` at three
+orderings, ``ncc``, ``sigma-scheme`` (with its tag variable) and a
+``family-section`` that the leading terms block (exit 2).
 After a change that is meant to alter the output, rewrite the expected
 output with
 
@@ -66,6 +71,17 @@ def calls():
         for command in (["family-gb"], ["ncc"], ["independent"], ["hough"], ["hough", "--point", "1,2"]):
             out.append([*command, name])
     out.append(["reconstruct-surface", "cubic_detection.json"])
+    out += [
+        ["sigma-scheme", "line_family.txt"],
+        ["family-section", "--cut", "x2 -3", "line_family.txt"],
+    ]
+    for order in ORDERS:
+        out.append(["family-gb", "--order", order, "conic_family.txt"])
+    out += [
+        ["ncc", "conic_family.txt"],
+        ["sigma-scheme", "conic_family.txt"],
+        ["family-section", "--cut", "x -3", "conic_family.txt"],
+    ]
     return out
 
 

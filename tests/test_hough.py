@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fractions
+from helpers import fractions, rank_exact, solve_exact
 from slicegb.errors import (
     Inconsistent,
     NotLinearInParams,
@@ -26,7 +26,7 @@ from slicegb.hough import (
 from slicegb.orders import DegRevLex
 from slicegb.parsing import ParseError, parse_polynomial
 from slicegb.poly import Polynomial
-from slicegb.rings import ring
+from slicegb.rings import Ring, ring
 
 P2 = ring("a1", "a2")
 P4 = ring("a1", "a2", "a3", "a4")
@@ -189,6 +189,74 @@ def test_solver_rejects_nonlinear_parameters():
         solve_linear_hough(rose_family(), (2, 1, 1))
 
 
+# Families linear in one to three parameters, drawn as raw data that the
+# oracle reads without the library: each generator maps a monomial in
+# x, y to coefficients [c0, c1, ..., ck], standing for c0 +c1*a1 +...
+# +ck*ak.  Small values with many zeros make rank-deficient and
+# contradictory systems common.
+SMALL = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2)])
+XY_MONOMIALS = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+
+
+def linear_params(k):
+    return ring(*(f"a{i + 1}" for i in range(k)))
+
+
+def linear_generator(params: Ring, data) -> Polynomial:
+    k = params.arity
+    combined = params.concat(XY)
+    terms = {}
+    for m, coeffs in data.items():
+        for i, c in enumerate(coeffs):
+            lift = tuple(1 if j == i - 1 else 0 for j in range(k))
+            terms[lift + m] = Fraction(c)
+    return Polynomial.from_terms(combined, terms)
+
+
+def linear_coefficients(k, monomials):
+    return st.dictionaries(
+        st.sampled_from(monomials), st.lists(SMALL, min_size=k + 1, max_size=k + 1),
+        min_size=1, max_size=len(monomials),
+    )
+
+
+@st.composite
+def linear_families(draw):
+    k = draw(st.integers(1, 3))
+    data = draw(st.lists(linear_coefficients(k, XY_MONOMIALS), min_size=1, max_size=3))
+    return k, data
+
+
+def expected_outcome(rows, rhs, k):
+    """Inconsistent, Underdetermined or the one solution, by Gaussian
+    elimination and a rank count."""
+    solution = solve_exact(rows, rhs)
+    if solution is None:
+        return Inconsistent
+    if rank_exact(rows) < k:
+        return Underdetermined
+    return tuple(solution)
+
+
+@given(linear_families(), st.tuples(fractions(3, 2), fractions(3, 2)))
+@settings(max_examples=150, deadline=None)
+def test_linear_solver_matches_gaussian_elimination(family, point):
+    k, data = family
+    params = linear_params(k)
+    fam = Family.of(params, XY, [linear_generator(params, d) for d in data])
+    px, py = point
+    rows, rhs = [], []
+    for d in data:
+        rows.append([sum(c[i] * px ** m[0] * py ** m[1] for m, c in d.items()) for i in range(1, k + 1)])
+        rhs.append(-sum(c[0] * px ** m[0] * py ** m[1] for m, c in d.items()))
+    expected = expected_outcome(rows, rhs, k)
+    if isinstance(expected, tuple):
+        assert solve_linear_hough(fam, point) == expected
+    else:
+        with pytest.raises(expected):
+            solve_linear_hough(fam, point)
+
+
 # -- combining several points ----------------------------------------
 
 
@@ -303,6 +371,56 @@ def test_slice_and_recover_a_cubic_surface(alpha):
         Family.parse(P4, XY, ["x^3 -a1*y^2 +a2*x +a3*y +a4"]), "z", slices
     )
     assert recovered == surface
+
+
+# a template x^3 +(linear in the parameters)*{1, x, y}; its slices keep
+# the leading term x^3 upstairs for up to three slices along z
+CURVE_MONOMIALS = [(0, 0), (1, 0), (0, 1)]
+
+
+@st.composite
+def curve_slices(draw):
+    k = draw(st.integers(1, 3))
+    data = draw(linear_coefficients(k, CURVE_MONOMIALS))
+    curves = []
+    for gamma in (Fraction(0), Fraction(1), Fraction(-1))[: draw(st.integers(1, 3))]:
+        if draw(st.booleans()):
+            # a member of the template, at some parameter point
+            values = draw(st.lists(SMALL, min_size=k, max_size=k))
+            coeffs = {m: c[0] + sum(ci * vi for ci, vi in zip(c[1:], values)) for m, c in data.items()}
+        else:
+            coeffs = {m: draw(SMALL) for m in CURVE_MONOMIALS}
+        curves.append((gamma, coeffs))
+    return k, data, curves
+
+
+@given(curve_slices())
+@settings(max_examples=100, deadline=None)
+def test_reconstruct_surface_matches_gaussian_elimination(problem):
+    k, data, curves = problem
+    params = linear_params(k)
+    template = Family.of(
+        params, XY, [linear_generator(params, data) + p("x^3", params.concat(XY))]
+    )
+    slices = []
+    first_failure = None
+    for gamma, coeffs in curves:
+        curve = Polynomial.from_terms(XY, {(3, 0): Fraction(1), **{m: Fraction(c) for m, c in coeffs.items()}})
+        slices.append((gamma, curve))
+        zero = [0] * (k + 1)
+        rows = [list(data.get(m, zero)[1:]) for m in CURVE_MONOMIALS]
+        rhs = [curve.terms.get(m, 0) - data.get(m, zero)[0] for m in CURVE_MONOMIALS]
+        expected = expected_outcome(rows, rhs, k)
+        if first_failure is None and not isinstance(expected, tuple):
+            first_failure = (gamma, expected)
+    if first_failure is not None:
+        gamma, error = first_failure
+        with pytest.raises(error, match=f"slice at {gamma}"):
+            reconstruct_surface(template, "z", slices)
+        return
+    surface = reconstruct_surface(template, "z", slices)
+    for gamma, curve in slices:
+        assert surface.substitute(2, Polynomial.constant(XYZ, gamma)).project_drop(2) == curve
 
 
 # -- detection files -------------------------------------------------
