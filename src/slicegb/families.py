@@ -12,6 +12,7 @@ JSON and text descriptions of families are parsed here as well.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,16 +23,15 @@ from .groebner import (
     buchberger,
     dimension,
     eliminate,
-    exact_divide,
     integer_normalize,
     reduce_basis,
 )
 from .orders import DegRevLex, TermOrder
 from .parsing import parse_polynomial, read_object, read_order, read_polynomials, read_rings, scan_lines
 from .poly import Polynomial, PowerProduct
-from .ratfunc import RationalFunction, polynomial_gcd
+from .ratfunc import RationalFunction, polynomial_lcm
 from .rings import Ring
-from .sections import LinearForm, section_basis
+from .sections import LinearForm, _eliminate_params, section_basis
 
 
 def _is_scalar(c: RationalFunction) -> bool:
@@ -140,15 +140,8 @@ def basis_denominator(params: Ring, basis: GroebnerBasis) -> Polynomial:
     """Monic least common multiple of every coefficient denominator;
     its non-vanishing marks the parameter points where the universal
     basis specializes cleanly."""
-    d = Polynomial.constant(params, 1)
-    for g in basis:
-        for c in g.terms.values():
-            den = c.den
-            if den.is_constant():
-                continue
-            g_ = polynomial_gcd(d, den)
-            d = exact_divide(d * den, g_)
-    return d.monic(DegRevLex(params.arity))
+    dens = [c.den for g in basis for c in g.terms.values() if not c.den.is_constant()]
+    return reduce(polynomial_lcm, dens, Polynomial.constant(params, 1))
 
 
 def nonconstant_coefficients(
@@ -243,41 +236,13 @@ def coefficient_scheme(
     """The closure of the image of the parameter space under the given
     rational functions, as an ideal in fresh coordinates y1..ys.
 
-    Denominators are cleared with one tag variable inverting their least
-    common multiple, so points where some denominator vanishes never
-    leak into the image.
+    This is implicitization's elimination, with one tag variable
+    inverting the least common multiple of the denominators, so points
+    where some denominator vanishes never leak into the image.
     """
     values = tuple(values)
-    s = len(values)
-    yring = Ring(tuple(f"y{j + 1}" for j in range(s)))
-    if s == 0:
-        return SchemeDescription(yring, Ideal.of(yring, []), 0, values)
-    common = Polynomial.constant(params, 1)
-    for v in values:
-        if v.den.is_constant():
-            continue
-        g = polynomial_gcd(common, v.den)
-        common = exact_divide(common * v.den, g)
-    tagged = not common.is_constant()
-    m = params.arity
-    front = m + (1 if tagged else 0)
-    names = params.names + (("u",) if tagged else ()) + yring.names
-    big = Ring(names)
-
-    def embed(f: Polynomial) -> Polynomial:
-        return Polynomial(
-            big,
-            {t + (0,) * (big.arity - m): c for t, c in f.terms.items()},
-        )
-
-    gens = []
-    for j, v in enumerate(values):
-        y = Polynomial.variable(big, f"y{j + 1}")
-        gens.append(y * embed(v.den) - embed(v.num))
-    if tagged:
-        u = Polynomial.variable(big, "u")
-        gens.append(Polynomial.constant(big, 1) - u * embed(common))
-    implicit = eliminate(Ideal.of(big, gens), range(front))
+    yring = Ring(tuple(f"y{j + 1}" for j in range(len(values))))
+    implicit = _eliminate_params(params, yring, zip(yring.names, values))
     return SchemeDescription(yring, implicit, dimension(implicit), values)
 
 

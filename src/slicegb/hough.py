@@ -4,10 +4,12 @@ Fixing a point and letting the parameters vary turns each family
 generator into a condition on the parameters alone; the conditions cut
 out the locus of members whose fiber passes through the point.  This is
 the algebra behind a Hough transform, kept exact: the locus is held as
-an ideal over Q, solved outright when the family is linear in its
-parameters, and intersected across several points by summing ideals.
-The last step rebuilds a surface from curves recovered on parallel
-slices, one interpolation per coefficient.
+an ideal over Q, by its reduced degrevlex basis, which names the member
+when the locus is a single rational point; several points intersect
+their loci by summing ideals.  Every question of the module reads that
+one basis, and for a family linear in its parameters it is the reduced
+echelon form of the conditions.  The last step rebuilds a surface from
+curves recovered on parallel slices, one interpolation per coefficient.
 """
 
 from __future__ import annotations
@@ -147,67 +149,20 @@ def _assert_linear(fam: Family) -> None:
             )
 
 
-def _linear_row(params: Ring, f: Polynomial) -> Tuple[List[Fraction], Fraction]:
-    """Split c_1 a_1 + ... + c_m a_m + c_0 into ([c_1..c_m], -c_0)."""
-    coeffs = [Fraction(0)] * params.arity
-    rhs = Fraction(0)
-    for t, c in f.terms.items():
-        if pp_degree(t) == 0:
-            rhs = -c
-        else:
-            coeffs[t.index(1)] = c
-    return coeffs, rhs
-
-
-def _solve_unique(rows, rhs, unknowns):
-    """Reduced echelon over Q; (solution, False), (None, False) for a
-    positive-dimensional solution set, (None, True) for none at all."""
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: List[int] = []
-    row = 0
-    for col in range(unknowns):
-        sel = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [v * inv for v in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, len(a)):
-        if a[r][unknowns]:
-            return None, True
-    if len(pivots) < unknowns:
-        return None, False
-    x = [Fraction(0)] * unknowns
-    for r, col in enumerate(pivots):
-        x[col] = a[r][unknowns]
-    return tuple(x), False
-
-
 def solve_linear_hough(fam: Family, point) -> Point:
     """The unique member through the point, for a family linear in its
-    parameters.  Raises Underdetermined or Inconsistent when the locus
-    is a positive-dimensional set or empty."""
+    parameters.  The conditions are linear, so the reduced basis of the
+    locus is their reduced echelon form: Underdetermined when it leaves
+    a positive-dimensional set, Inconsistent when it is empty."""
     _assert_linear(fam)
-    p = _check_point(fam, point)
-    rows, rhs = [], []
-    for g in fam.generators:
-        coeffs, b = _linear_row(fam.params, _at_point(g, p, fam.params))
-        rows.append(coeffs)
-        rhs.append(b)
-    solution, inconsistent = _solve_unique(rows, rhs, fam.params.arity)
-    if inconsistent:
+    locus = hough_ideal(fam, point)
+    if locus.empty:
         raise Inconsistent("no parameter choice puts the point on a fiber")
-    if solution is None:
+    if locus.solution is None:
         raise Underdetermined(
             "the parameter locus of this point has positive dimension"
         )
-    return solution
+    return locus.solution
 
 
 def detect(fam: Family, points) -> DetectionResult:
@@ -237,19 +192,6 @@ def detect(fam: Family, points) -> DetectionResult:
 # -- surface reconstruction from sliced detections -------------------
 
 
-def _match_curve(template: Family, curve: Polynomial) -> Tuple[List[List[Fraction]], List[Fraction]]:
-    """Equations on the parameters forcing the template to equal the
-    given curve coefficient by coefficient."""
-    g = template.generators[0]
-    rows, rhs = [], []
-    for t in sorted(set(g.terms) | set(curve.terms)):
-        c = g.terms.get(t, Polynomial.zero(template.params))
-        coeffs, neg = _linear_row(template.params, c)
-        rows.append(coeffs)
-        rhs.append(curve.terms.get(t, Fraction(0)) + neg)
-    return rows, rhs
-
-
 def _slice_curve(args) -> Polynomial:
     """Detect one slice curve from ``(template, gamma, data)``; top level
     so worker processes can import it."""
@@ -259,29 +201,25 @@ def _slice_curve(args) -> Polynomial:
             raise ValueError(f"slice at {gamma}: curve from a different ring")
         if data.is_zero():
             raise ValueError(f"slice at {gamma}: zero curve")
-        rows, rhs = _match_curve(template, data)
-        solution, inconsistent = _solve_unique(rows, rhs, template.params.arity)
-        if inconsistent:
-            raise Inconsistent(
-                f"slice at {gamma}: the curve does not have the template shape"
-            )
-        if solution is None:
-            raise Underdetermined(
-                f"slice at {gamma}: several parameter choices give this curve"
-            )
+        # the template minus the curve, coefficient by coefficient
+        g = template.generators[0]
+        locus = _parameter_locus(template.params, [
+            g.terms.get(t, Polynomial.zero(template.params))
+            - Polynomial.constant(template.params, data.terms.get(t, 0))
+            for t in set(g.terms) | set(data.terms)
+        ])
+        empty, solution = locus.empty, locus.solution
+        no_member = "the curve does not have the template shape"
+        many = "several parameter choices give this curve"
     else:
         found = detect(template, data)
-        if found.inconsistent:
-            raise Inconsistent(
-                f"slice at {gamma}: no curve of the template shape passes "
-                "through the data"
-            )
-        if found.solution is None:
-            raise Underdetermined(
-                f"slice at {gamma}: the data pins a positive-dimensional "
-                "set of curves"
-            )
-        solution = found.solution
+        empty, solution = found.inconsistent, found.solution
+        no_member = "no curve of the template shape passes through the data"
+        many = "the data pins a positive-dimensional set of curves"
+    if empty:
+        raise Inconsistent(f"slice at {gamma}: {no_member}")
+    if solution is None:
+        raise Underdetermined(f"slice at {gamma}: {many}")
     fiber = specialize_family(template, solution)
     if len(fiber.generators) != 1:
         raise ValueError(

@@ -103,6 +103,11 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     return h.monic(DegRevLex(h.ring.arity))
 
 
+def polynomial_lcm(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic least common multiple of two nonzero polynomials."""
+    return exact_divide(f * g, polynomial_gcd(f, g)).monic(DegRevLex(f.ring.arity))
+
+
 # -- the fraction type -----------------------------------------------
 
 

@@ -9,6 +9,7 @@ polynomials upstairs, one degree of freedom per slice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -52,6 +53,7 @@ from .parsing import (
     read_variable,
 )
 from .poly import Polynomial, compose, over_lcm
+from .ratfunc import RationalFunction, polynomial_lcm
 from .rings import PowerProduct, Ring, pp_divides, pp_insert
 
 # -- linear forms ----------------------------------------------------
@@ -103,10 +105,6 @@ class LinearForm:
         lead = coeffs[pivot]
         tail = tuple((j, -coeffs[j] / lead) for j in range(pivot + 1, ring.arity) if coeffs[j])
         return cls(ring, pivot, tail, -gamma / lead)
-
-    @property
-    def is_axis(self) -> bool:
-        return not self.tail
 
     def replacement(self) -> Polynomial:
         """The right-hand side the pivot is replaced with."""
@@ -573,14 +571,40 @@ def gamma_stream(offset: Optional[int] = None) -> Iterator[Fraction]:
 
 
 def _eliminate_params(param_ring: Ring, keep: Ring, pairs, extra=()) -> Ideal:
-    """Eliminate the parameters from (name - image) plus parameter-only
-    constraints; the result lives in the kept ring."""
-    combined = param_ring.concat(keep)
-    pad = (0,) * keep.arity
+    """The closure of the image of the parameter space: eliminate the
+    parameters from (name - image) for each pair of a kept name and its
+    image, plus parameter-only constraints; the result lives in the kept
+    ring.
+
+    A rational image num/den gives den*name - num instead.  When some
+    denominator is not constant, a tag variable u listed after the
+    parameters inverts their least common multiple by 1 - u*lcm, so
+    points where a denominator vanishes never leak into the image.  The
+    eliminated block is renamed apart from the kept names.
+    """
+    pairs = list(pairs)
+    dens = [image.den for _, image in pairs
+            if isinstance(image, RationalFunction) and not image.den.is_constant()]
+    common = functools.reduce(polynomial_lcm, dens, Polynomial.constant(param_ring, 1))
+    tagged = not common.is_constant()
+    block: Tuple[str, ...] = ()
+    for name in param_ring.names + ("u",) * tagged:
+        block += (Ring(block + keep.names).fresh_name(name),)
+    combined = Ring(block + keep.names)
+    pad = (0,) * (combined.arity - param_ring.arity)
     embed = lambda f: Polynomial(combined, {t + pad: c for t, c in f.terms.items()})
-    gens = [Polynomial.variable(combined, name) - embed(image) for name, image in pairs]
+    gens = []
+    for name, image in pairs:
+        y = Polynomial.variable(combined, name)
+        if isinstance(image, RationalFunction):
+            gens.append(y * embed(image.den) - embed(image.num))
+        else:
+            gens.append(y - embed(image))
     gens.extend(embed(e) for e in extra)
-    return eliminate(Ideal.of(combined, gens), list(range(param_ring.arity)))
+    if tagged:
+        u = Polynomial.variable(combined, block[-1])
+        gens.append(Polynomial.constant(combined, 1) - u * embed(common))
+    return eliminate(Ideal.of(combined, gens), range(len(block)))
 
 
 def map_slices(job, work, jobs: int = 1) -> Iterator:

@@ -175,6 +175,18 @@ def test_sigma_scheme_dense_image():
     assert out == "QQ[y1,y2]\n0\ndimension: 2\n"
 
 
+def test_sigma_scheme_with_a_parameter_named_u(tmp_path):
+    def scheme(a, b):
+        target = tmp_path / f"{a}{b}.txt"
+        target.write_text(f"QQ[{a},{b}]\nQQ[x,y]\n{a}*x^2 +{b}*y -1\nx*y -{a}\n")
+        return run("sigma-scheme", str(target))
+
+    code, out, err = scheme("u", "v")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == scheme("a1", "a2")
+    assert out.startswith("QQ[y1,y2,y3,y4,y5]\n")
+
+
 def test_independent():
     code, out, _ = run("independent", path("line_family.txt"))
     assert code == 0 and out == "independent\n"

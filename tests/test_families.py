@@ -351,6 +351,22 @@ def test_coefficient_scheme_with_denominators():
     assert scheme.dimension == 3
 
 
+@pytest.mark.parametrize("names", [("u", "v"), ("y1", "y2"), ("u", "u1")])
+def test_coefficient_scheme_ignores_parameter_names(names):
+    # the basis has denominators, so the scheme needs its tag variable;
+    # neither the tag nor the coordinates y1..ys may collide with a
+    # parameter name
+    def scheme(params):
+        a, b = params.names
+        fam = Family.parse(params, ring("x", "y"), [f"{a}*x^2 +{b}*y -1", f"x*y -{a}"])
+        return coefficient_scheme(params, nonconstant_coefficients(family_basis(fam)))
+
+    renamed, plain = scheme(ring(*names)), scheme(P2)
+    assert plain.ring == renamed.ring == ring("y1", "y2", "y3", "y4", "y5")
+    assert renamed.ideal == plain.ideal
+    assert renamed.dimension == plain.dimension == 2
+
+
 def test_coefficient_scheme_of_nothing():
     scheme = coefficient_scheme(P2, [])
     assert scheme.dimension == 0

@@ -64,7 +64,6 @@ def test_linear_form_from_polynomial():
     assert form.pivot == 2
     assert form.tail == ((3, Fraction(2)),)
     assert form.gamma == Fraction(-3)
-    assert not form.is_axis
 
 
 def test_linear_form_round_trip():
