@@ -12,8 +12,8 @@ JSON and text descriptions of families are parsed here as well.
 """
 
 from dataclasses import dataclass
-from functools import reduce
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DenominatorVanishes, DependentParameters, HypothesisViolation

@@ -201,7 +201,6 @@ def _slice_curve(args) -> Polynomial:
             raise ValueError(f"slice at {gamma}: curve from a different ring")
         if data.is_zero():
             raise ValueError(f"slice at {gamma}: zero curve")
-        # the template minus the curve, coefficient by coefficient
         g = template.generators[0]
         locus = _parameter_locus(template.params, [
             g.terms.get(t, Polynomial.zero(template.params))
