@@ -95,8 +95,9 @@ def _parameter_locus(params: Ring, generators: Sequence[Polynomial]) -> HoughRes
     order = DegRevLex(params.arity)
     gens = [g for g in generators if g]
     if not gens:
-        # every condition vanished: the whole parameter space qualifies
-        return HoughResult(Ideal(params, ()), params.arity, False, None)
+        # every condition vanished: the whole parameter space qualifies,
+        # which is a single point only when there are no parameters
+        return HoughResult(Ideal(params, ()), params.arity, False, () if not params.arity else None)
     basis = groebner_basis(order, gens)
     ideal = Ideal(params, basis.elements)
     if len(basis) == 1 and basis.elements[0].is_constant():

@@ -257,6 +257,18 @@ def test_linear_solver_matches_gaussian_elimination(family, point):
             solve_linear_hough(fam, point)
 
 
+def test_family_without_parameters_is_its_own_member():
+    # with no parameters the locus of a point on the fiber is the one
+    # point (), for every question that reads the locus
+    fam = Family.parse(Ring(()), XY, ["x*y -1"])
+    assert solve_linear_hough(fam, (1, 1)) == ()
+    assert hough_ideal(fam, (1, 1)).solution == ()
+    assert detect(fam, [(1, 1), (-1, -1)]).solution == ()
+    with pytest.raises(Inconsistent):
+        solve_linear_hough(fam, (1, 2))
+    assert reconstruct_surface(fam, "z", [(0, p("x*y -1", XY))]) == p("x*y -1", XYZ)
+
+
 # -- combining several points ----------------------------------------
 
 
