@@ -317,6 +317,26 @@ def test_normal_form_matches_the_reference(order, field, data):
     assert got == expected and repr(got) == repr(expected)
 
 
+def parameter_ideals():
+    return st.lists(
+        nonzero_polynomials(R3, max_degree=2, max_terms=3, coeffs=parameter_fractions()),
+        min_size=1, max_size=2,
+    )
+
+
+@pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
+@settings(max_examples=10, deadline=None)
+@given(parameter_ideals())
+def test_buchberger_over_parameters_matches_the_field_step(order, gens):
+    generic = field_buchberger(order, gens)
+    # same pairs, same reducers: the stored elements agree up to a unit
+    assert buchberger(order, gens) == [g.monic(order) for g in generic]
+    gb = groebner_basis(order, gens)
+    reference = reduce_basis(order, generic)
+    assert gb.elements == reference.elements
+    assert list(map(repr, gb)) == list(map(repr, reference))
+
+
 @pytest.fixture
 def widths(monkeypatch):
     """The field widths of the packings built, in order."""
@@ -368,6 +388,16 @@ def test_interreduction_products_wider_than_the_initial_packing(widths):
     assert list(gb.elements) == interreduce_by_normal_form(Lex(4), polys)
 
 
+def test_width_rerun_spans_generators_to_reduced_basis(widths):
+    # the leading terms are pairwise coprime, so Buchberger forms no
+    # S-pair and only the interreduction overflows the first width
+    r = ring("w", "x", "y", "z")
+    polys = [p(g, r) for g in ["y - z^7", "x - y^7", "w - x^7"]]
+    gb = groebner_basis(Lex(4), polys)
+    assert len(set(widths)) > 1  # the first width overflowed and the call reran
+    assert basis_strings(gb) == ["y -z^7", "x -z^49", "w -z^343"]
+
+
 A = ring("a")
 
 
@@ -399,6 +429,7 @@ def test_products_wider_than_the_initial_packing_over_parameters(widths):
     gb = reduce_basis(Lex(3), basis)
     assert list(gb.elements) == interreduce_by_normal_form(Lex(3), basis)
     assert "z^343 -1/(a^6)" in basis_strings(gb)
+    assert groebner_basis(Lex(3), gens).elements == gb.elements
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,52 @@
+"""Every module-level import in the package is used: in code, in
+``__all__``, or in a string annotation."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicegb"
+
+
+def imported_names(tree: ast.Module):
+    """The names bound by the module's top-level imports, with their lines."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def used_names(tree: ast.Module):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    assert not unused
