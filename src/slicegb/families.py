@@ -20,11 +20,10 @@ from .errors import DenominatorVanishes, DependentParameters, HypothesisViolatio
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    buchberger,
     dimension,
     eliminate,
+    groebner_basis,
     integer_normalize,
-    reduce_basis,
 )
 from .orders import DegRevLex, TermOrder
 from .parsing import parse_polynomial, read_object, read_order, read_polynomials, read_rings, scan_lines
@@ -116,7 +115,9 @@ class Family:
 def family_basis(fam: Family, order: TermOrder = None) -> GroebnerBasis:
     """The reduced basis of the family over the fraction field of the
     parameters: one basis that specializes to the reduced basis of every
-    fiber off the vanishing locus of :func:`basis_denominator`.
+    fiber off the vanishing locus of :func:`basis_denominator`.  It is
+    computed fraction-free on the parameter polynomials; each
+    coefficient becomes a RationalFunction once, at the end.
 
     Raises DependentParameters when the basis collapses to {1}, which
     happens exactly when the parameters satisfy a polynomial relation
@@ -127,7 +128,7 @@ def family_basis(fam: Family, order: TermOrder = None) -> GroebnerBasis:
     gens = fam.over_field()
     if not gens:
         return GroebnerBasis(order, (), is_minimal=True, is_reduced=True)
-    basis = reduce_basis(order, buchberger(order, gens))
+    basis = groebner_basis(order, gens)
     if len(basis) == 1 and basis.elements[0].is_constant():
         raise DependentParameters(
             "the basis collapses to {1}: parameters are dependent; "

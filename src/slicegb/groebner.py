@@ -19,10 +19,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .orders import DegRevLex, Elim, TermOrder
-from .poly import Polynomial, over_lcm
+from .poly import Polynomial, exact_divide, over_lcm
+from .ratfunc import RationalFunction, polynomial_gcd, polynomial_lcm
 from .rings import (
     PowerProduct,
     Ring,
@@ -31,7 +33,6 @@ from .rings import (
     pp_div,
     pp_divides,
     pp_lcm,
-    pp_mul,
     pp_one,
     pp_project,
     pp_support,
@@ -90,59 +91,6 @@ class MonomialIdeal:
 # -- division --------------------------------------------------------
 
 
-class _TopTerm:
-    """Max-heap adapter: heapq pops the entry with the largest key."""
-
-    __slots__ = ("key", "term")
-
-    def __init__(self, key, term: PowerProduct):
-        self.key = key
-        self.term = term
-
-    def __lt__(self, other: "_TopTerm") -> bool:
-        return self.key > other.key
-
-
-def exact_divide(f: Polynomial, g: Polynomial, order: TermOrder = None) -> Polynomial:
-    """The quotient f/g; raises when g does not divide f."""
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if order is None:
-        order = DegRevLex(f.ring.arity)
-    lc, lt = g.leading_term(order)
-    work = dict(f.terms)
-    quotient: Dict[PowerProduct, object] = {}
-    key = order.key
-    heap = [_TopTerm(key(t), t) for t in work]
-    heapq.heapify(heap)
-    while heap:
-        t = heapq.heappop(heap).term
-        if t not in work:
-            continue
-        q = pp_div(t, lt)
-        if q is None:
-            raise ValueError("not an exact division")
-        factor = work.pop(t) / lc
-        quotient[q] = factor
-        for s, cg in g.terms.items():
-            if s == lt:
-                continue
-            u = pp_mul(s, q)
-            cur = work.get(u)
-            if cur is None:
-                value = -(factor * cg)
-                if value:
-                    work[u] = value
-                    heapq.heappush(heap, _TopTerm(key(u), u))
-            else:
-                value = cur - factor * cg
-                if value:
-                    work[u] = value
-                else:
-                    del work[u]
-    return Polynomial(f.ring, quotient)
-
-
 def spolynomial(order: TermOrder, f: Polynomial, g: Polynomial) -> Polynomial:
     cf, tf = f.leading_term(order)
     cg, tg = g.leading_term(order)
@@ -167,21 +115,29 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # ``buchberger``, ``reduce_basis`` and ``normal_form`` all divide in one
 # loop, ``_reduce``, on packed terms.  Reducers are tried in list order
 # on the largest pending term.  What a division step does to the
-# coefficients is set by one of two step classes:
+# coefficients is set by one of three step classes; ``_step`` picks the
+# one for Buchberger and the interreduction by the coefficient type:
 #
-# - ``_Integers``, for Buchberger and the interreduction over Q.
+# - ``_Integers``, over Q (every coefficient a ``Fraction``).
 #   Coefficients are ints.  A remainder is rescaled to content 1 right
 #   away, so any positive multiple of the normal form serves: instead of
 #   dividing by a leading coefficient, the pending polynomial is scaled
 #   up by the smallest factor making the division exact, which avoids
 #   the gcd that every Fraction operation performs.
-# - ``_Field``, for Q(params) (``RationalFunction`` coefficients) and
-#   for ``normal_form``.  The step divides by the reducer's leading
-#   coefficient, so the remainder is the normal form itself, and stored
-#   elements are monic.
+# - ``_Parameters``, over Q(params) (``RationalFunction`` coefficients).
+#   The same pseudo-division one level up: coefficients are parameter
+#   polynomials, a generator's denominators are cleared by their lcm,
+#   the scale is the reducer's leading coefficient over its gcd with
+#   the cancelled one, and a stored element is divided by its
+#   polynomial content.  ``RationalFunction`` arithmetic, with a gcd on
+#   every sum and product, stays out of the loop: each coefficient
+#   becomes one ``RationalFunction`` at the end.
+# - ``_Field``, for ``normal_form``, whose remainder must be the normal
+#   form itself.  The step divides by the reducer's leading
+#   coefficient, and stored elements are monic.
 #
-# Both steps thus store the same elements up to constant factors; the
-# tests check ``_Integers`` over Q against ``_Field``.
+# All three steps thus store the same elements up to units; the tests
+# check the other two against ``_Field``.
 #
 # A term is one plain int made of fields of ``bits`` value bits plus a
 # guard bit each: the order's weight rows (most significant first),
@@ -197,11 +153,6 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # set guard bit through the field-wise largest term of the
 # multiplicand; a set bit means the width was too small, and the whole
 # call reruns at twice the width.
-#
-# ``exact_divide`` stays on exponent tuples.  Most of its calls come
-# from the gcd in every ``RationalFunction`` construction and divide
-# tiny polynomials, often a monomial by a monomial, where building a
-# packing per call costs several times the division itself.
 
 
 class _WidthExceeded(Exception):
@@ -276,10 +227,6 @@ def _packed_call(order: TermOrder, polys: Sequence[Polynomial], run):
             bits *= 2
 
 
-def _rational(polys: Sequence[Polynomial]) -> bool:
-    return all(isinstance(c, Fraction) for g in polys for c in g.terms.values())
-
-
 def _content_one(terms: Dict[int, int]) -> Dict[int, int]:
     """Divide out the integer content; the leading coefficient ends positive."""
     g = math.gcd(*terms.values())
@@ -334,6 +281,54 @@ class _Integers:
         return {u: Fraction(c, lc) for u, c in terms.items()}
 
 
+class _Parameters:
+    """The pseudo-division step over Q(params): parameter-polynomial
+    coefficients, and stored elements of polynomial content 1."""
+
+    @staticmethod
+    def pack(pk: _Packing, f: Polynomial) -> Dict[int, Polynomial]:
+        """The coefficients times the lcm of their denominators."""
+        dens = [c.den for c in f.terms.values() if not c.den.is_constant()]
+        if not dens:
+            return {pk.pack(t): c.num for t, c in f.terms.items()}
+        lcm = reduce(polynomial_lcm, dens)
+        return {pk.pack(t): exact_divide(lcm, c.den) * c.num for t, c in f.terms.items()}
+
+    @staticmethod
+    def divide(c: Polynomial, lc: Polynomial) -> tuple:
+        """A ``scale`` and the ``factor`` with ``scale * c == factor * lc``;
+        the scale is 1 when ``lc`` divides ``c`` up to a constant."""
+        if not lc.is_constant():
+            g = polynomial_gcd(c, lc)
+            if not g.is_constant():
+                c, lc = exact_divide(c, g), exact_divide(lc, g)
+            if not lc.is_constant():
+                return lc, c
+        return 1, c.scale(1 / lc.constant_value())
+
+    @staticmethod
+    def strip(work: Dict[int, Polynomial], remainder: Dict[int, Polynomial]) -> None:
+        pass
+
+    @staticmethod
+    def normalize(terms: Dict[int, Polynomial]) -> Dict[int, Polynomial]:
+        """Divide out the gcd of the coefficients."""
+        g = Polynomial.zero(terms[max(terms)].ring)
+        for c in terms.values():
+            g = polynomial_gcd(g, c)
+            if g.is_constant():
+                return terms
+        return {u: exact_divide(c, g) for u, c in terms.items()}
+
+    @staticmethod
+    def to_field(terms: Dict[int, Polynomial], lc: Polynomial = None) -> Dict[int, RationalFunction]:
+        """The coefficients divided by ``lc``, by default the leading
+        one, as RationalFunctions."""
+        if lc is None:
+            lc = terms[max(terms)]
+        return {u: RationalFunction(c, lc) for u, c in terms.items()}
+
+
 class _Field:
     """The division step over a field: divide by the leading
     coefficient, and store monic elements."""
@@ -362,6 +357,14 @@ class _Field:
     @staticmethod
     def normalize(terms: Dict[int, object]) -> Dict[int, object]:
         return _Field.to_field(terms, terms[max(terms)])
+
+
+def _step(polys: Sequence[Polynomial]):
+    """The division step for Buchberger and the interreduction, by the
+    coefficient type."""
+    if all(isinstance(c, Fraction) for g in polys for c in g.terms.values()):
+        return _Integers
+    return _Parameters
 
 
 def _subtract(step, work: dict, remainder: dict, heap: List[int], c, lc, tail, q: int) -> None:
@@ -433,13 +436,13 @@ def normal_form(order: TermOrder, f: Polynomial, reducers: Sequence[Polynomial])
     return _packed_call(order, [f] + reducers, run)
 
 
-def _reduce_basis_packed(pk: _Packing, polys: Sequence[Polynomial], step) -> List[Polynomial]:
-    """Minimalize, then reduce each element by the others, the earlier
-    ones already reduced."""
+def _reduce_basis_packed(pk: _Packing, ring: Ring, elems: Iterable[dict], step) -> List[Polynomial]:
+    """Minimalize the packed elements (which are consumed), then reduce
+    each by the others, the earlier ones already reduced."""
     divisible = pk.exp_guards
     kept: List[dict] = []
     kept_lts: List[int] = []
-    for terms in sorted((step.pack(pk, g) for g in polys), key=max):
+    for terms in sorted(elems, key=max):
         lt = max(terms)
         if all((lt - s) & divisible for s in kept_lts):
             kept.append(terms)
@@ -448,7 +451,6 @@ def _reduce_basis_packed(pk: _Packing, polys: Sequence[Polynomial], step) -> Lis
     for idx, terms in enumerate(kept):
         kept[idx] = _reduce(pk, terms, red[:idx] + red[idx + 1:], step)
         red[idx] = pk.reducer(kept[idx])
-    ring = polys[0].ring
     return [pk.polynomial(ring, step.to_field(terms, lc)) for terms, (_, lc, _, _) in zip(kept, red)]
 
 
@@ -520,8 +522,9 @@ class _Pairs:
             yield i, j, l, sugar
 
 
-def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[Polynomial]:
-    """``buchberger`` on packed terms, in ``step``'s arithmetic."""
+def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[dict]:
+    """``buchberger`` on packed terms, in ``step``'s arithmetic; the
+    stored elements, packed."""
     guards = pk.guards
     elems: List[dict] = []
     red: List[tuple] = []
@@ -550,8 +553,14 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[P
             # a reducer of high degree can leave a remainder above the
             # pair's sugar; the sugar never falls below the degree
             store(rem, max(sugar, pk.degree(rem)))
-    ring = gens[0].ring
-    return [pk.polynomial(ring, step.to_field(e)) for e in elems]
+    return elems
+
+
+def _generators(generators: Sequence[Polynomial]) -> List[Polynomial]:
+    gens = [g for g in generators if g]
+    if not gens:
+        raise ValueError("Groebner basis of the zero ideal is undefined; no nonzero generators")
+    return gens
 
 
 def buchberger(order: TermOrder, generators: Sequence[Polynomial]) -> List[Polynomial]:
@@ -561,13 +570,17 @@ def buchberger(order: TermOrder, generators: Sequence[Polynomial]) -> List[Polyn
     criteria (see ``_Pairs``); every stored element stays a reducer, so
     the result holds every remainder computed.  Over Q the elements are
     scaled to integer coefficients with content 1 and a positive leading
-    coefficient; over Q(params) they are monic.
+    coefficient; over Q(params) the division runs fraction-free on
+    parameter polynomials (``_Parameters``), and the elements come out
+    monic.
     """
-    gens = [g for g in generators if g]
-    if not gens:
-        raise ValueError("Groebner basis of the zero ideal is undefined; no nonzero generators")
-    step = _Integers if _rational(gens) else _Field
-    return _packed_call(order, gens, lambda pk: _buchberger_packed(pk, gens, step))
+    gens = _generators(generators)
+    step, ring = _step(gens), gens[0].ring
+
+    def run(pk: _Packing) -> List[Polynomial]:
+        return [pk.polynomial(ring, step.to_field(e)) for e in _buchberger_packed(pk, gens, step)]
+
+    return _packed_call(order, gens, run)
 
 
 def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis:
@@ -581,13 +594,25 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
         return GroebnerBasis(order, (), is_minimal=True, is_reduced=True)
     # One pass suffices: leading terms are pairwise non-divisible, so
     # division never disturbs them, and the reduced basis is unique.
-    step = _Integers if _rational(nonzero) else _Field
-    reduced = _packed_call(order, nonzero, lambda pk: _reduce_basis_packed(pk, nonzero, step))
-    return GroebnerBasis(order, tuple(reduced), is_minimal=True, is_reduced=True)
+    step, ring = _step(nonzero), nonzero[0].ring
+
+    def run(pk: _Packing) -> List[Polynomial]:
+        return _reduce_basis_packed(pk, ring, [step.pack(pk, g) for g in nonzero], step)
+
+    return GroebnerBasis(order, tuple(_packed_call(order, nonzero, run)), is_minimal=True, is_reduced=True)
 
 
 def groebner_basis(order: TermOrder, generators: Sequence[Polynomial]) -> GroebnerBasis:
-    return reduce_basis(order, buchberger(order, generators))
+    """The reduced basis of the ideal: ``reduce_basis`` of ``buchberger``,
+    in one packed call, so the stored elements go to the interreduction
+    as they are; a width that overflows in either phase reruns both."""
+    gens = _generators(generators)
+    step, ring = _step(gens), gens[0].ring
+
+    def run(pk: _Packing) -> List[Polynomial]:
+        return _reduce_basis_packed(pk, ring, _buchberger_packed(pk, gens, step), step)
+
+    return GroebnerBasis(order, tuple(_packed_call(order, gens, run)), is_minimal=True, is_reduced=True)
 
 
 def is_member(f: Polynomial, basis: GroebnerBasis) -> bool:
@@ -631,7 +656,7 @@ def eliminate(ideal: Ideal, drop: Sequence[int]) -> Ideal:
     if ideal.is_zero:
         return Ideal.of(sub, [])
     order = Elim(ideal.ring.arity, drop_set)
-    basis = reduce_basis(order, buchberger(order, ideal.generators))
+    basis = groebner_basis(order, ideal.generators)
     survivors = []
     for g in basis:
         if all(all(t[i] == 0 for i in drop_set) for t in g.terms):
@@ -668,7 +693,7 @@ def dimension(ideal: Ideal, order: TermOrder = None) -> int:
         return ideal.ring.arity
     if order is None:
         order = DegRevLex(ideal.ring.arity)
-    basis = reduce_basis(order, buchberger(order, ideal.generators))
+    basis = groebner_basis(order, ideal.generators)
     return monomial_dimension(MonomialIdeal.of(ideal.ring.arity, basis.leading_power_products()))
 
 
@@ -706,7 +731,7 @@ def zero_divisor_witness(ideal: Ideal, f: Polynomial, order: TermOrder = None) -
     quotient = colon_ideal(ideal, f)
     if quotient.is_zero:
         return None
-    basis = reduce_basis(order, buchberger(order, ideal.generators))
+    basis = groebner_basis(order, ideal.generators)
     for g in quotient.generators:
         if normal_form(order, g, basis.elements):
             return g

@@ -16,16 +16,18 @@ clears denominators for the whole package.
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from operator import add
 from typing import Collection, Dict, Iterable, List, Tuple
 
-from .orders import TermOrder
+from .orders import DegRevLex, TermOrder
 from .rings import (
     PowerProduct,
     Ring,
     pp_degree,
+    pp_div,
     pp_drop,
     pp_insert,
     pp_mul,
@@ -235,8 +237,6 @@ class Polynomial:
     def __lt__(self, other) -> bool:
         # sign convention for printing, shared with RationalFunction: the
         # sign of the leading DegRevLex coefficient of the difference
-        from .orders import DegRevLex
-
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.ring, other)
         if not isinstance(other, Polynomial) or other.ring != self.ring:
@@ -318,7 +318,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial
-        from .orders import DegRevLex
 
         return format_polynomial(DegRevLex(self.ring.arity), self)
 
@@ -362,6 +361,67 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
     for (_, d), top in zip(split, tops):
         den *= d ** top
     return _from_numerators(target, terms, den)
+
+
+# -- exact division --------------------------------------------------
+#
+# ``exact_divide`` stays on exponent tuples.  Most of its calls come
+# from the gcd in every ``RationalFunction`` construction and divide
+# tiny polynomials, often a monomial by a monomial, where building a
+# packing per call costs several times the division itself.
+
+
+class _TopTerm:
+    """Max-heap adapter: heapq pops the entry with the largest key."""
+
+    __slots__ = ("key", "term")
+
+    def __init__(self, key, term: PowerProduct):
+        self.key = key
+        self.term = term
+
+    def __lt__(self, other: "_TopTerm") -> bool:
+        return self.key > other.key
+
+
+def exact_divide(f: Polynomial, g: Polynomial, order: TermOrder = None) -> Polynomial:
+    """The quotient f/g; raises when g does not divide f."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if order is None:
+        order = DegRevLex(f.ring.arity)
+    lc, lt = g.leading_term(order)
+    work = dict(f.terms)
+    quotient: Dict[PowerProduct, object] = {}
+    key = order.key
+    heap = [_TopTerm(key(t), t) for t in work]
+    heapq.heapify(heap)
+    while heap:
+        t = heapq.heappop(heap).term
+        if t not in work:
+            continue
+        q = pp_div(t, lt)
+        if q is None:
+            raise ValueError("not an exact division")
+        factor = work.pop(t) / lc
+        quotient[q] = factor
+        for s, cg in g.terms.items():
+            if s == lt:
+                continue
+            u = pp_mul(s, q)
+            cur = work.get(u)
+            if cur is None:
+                value = -(factor * cg)
+                if value:
+                    work[u] = value
+                    heapq.heappush(heap, _TopTerm(key(u), u))
+            else:
+                value = cur - factor * cg
+                if value:
+                    work[u] = value
+                else:
+                    del work[u]
+    return Polynomial(f.ring, quotient)
 
 
 # -- the integer kernel over Q ---------------------------------------

@@ -3,8 +3,12 @@
 A :class:`RationalFunction` is a quotient of two rational-coefficient
 polynomials from the same ring, kept in lowest terms with a monic
 denominator.  The class implements enough arithmetic that it can serve
-as the coefficient type of :class:`~slicegb.poly.Polynomial`, so the
-basis machinery runs unchanged over a field of fractions.
+as the coefficient type of :class:`~slicegb.poly.Polynomial`, so
+polynomials, ``normal_form`` and the slicing layer work over a field
+of fractions.  Buchberger and the interreduction do not divide here:
+they clear denominators and pseudo-divide on the parameter
+polynomials, with :func:`polynomial_gcd` keeping them small, and build
+one fraction per coefficient at the end.
 
 The gcd underneath is the primitive remainder sequence, recursing on the
 coefficients of the chosen main variable.
@@ -13,9 +17,8 @@ coefficients of the chosen main variable.
 from fractions import Fraction
 from typing import Dict
 
-from .groebner import exact_divide
 from .orders import DegRevLex
-from .poly import Polynomial, PowerProduct
+from .poly import Polynomial, PowerProduct, exact_divide
 from .rings import Ring
 
 
@@ -89,7 +92,10 @@ def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         if not r:
             part = b
             break
-        a, b = b, exact_divide(r, _content(r, v))
+        r = exact_divide(r, _content(r, v))
+        # any scalar multiple serves; this one keeps the rationals from
+        # compounding along the sequence
+        a, b = b, r.scale(1 / next(iter(r.terms.values())))
     else:
         part = Polynomial.constant(f.ring, 1)
     return _gcd(cf, cg) * part

@@ -33,13 +33,12 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    buchberger,
     check_minimal,
     check_reduced,
     eliminate,
+    groebner_basis,
     integer_normalize,
     is_member,
-    reduce_basis,
     zero_divisor_witness,
 )
 from .orders import DegRevLex, PivotDegRev, TermOrder, order_by_name
@@ -256,7 +255,7 @@ def homogeneous_section_basis(ideal: Ideal, form: HomLinearForm, order: TermOrde
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
     shifted = [form.shift(g) for g in ideal.generators]
-    basis = reduce_basis(order, buchberger(order, shifted))
+    basis = groebner_basis(order, shifted)
     sub_order = order.restrict(form.pivot)
     images = [form.project(g) for g in basis]
     images = sorted((g for g in images if g),
@@ -292,7 +291,7 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
         )
     sub_order = order.restrict(form.pivot)
     sliced_gens = [form.apply(g) for g in ideal.generators]
-    downstairs = reduce_basis(sub_order, buchberger(sub_order, sliced_gens))
+    downstairs = groebner_basis(sub_order, sliced_gens)
     cand_lts = [form.apply(g).leading_power_product(sub_order) for g in cand]
     for d in downstairs:
         lt = d.leading_power_product(sub_order)
@@ -308,7 +307,7 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
     scaled_gens = [g.monic(order) for g in ideal.generators if g]
     strays = [g for g in cand if g not in scaled_gens]
     if strays:
-        upstairs = reduce_basis(order, buchberger(order, ideal.generators))
+        upstairs = groebner_basis(order, ideal.generators)
         outside = [g for g in strays if not is_member(g, upstairs)]
         if outside:
             raise ValueError(f"{len(outside)} candidate element(s) lie outside the ideal")

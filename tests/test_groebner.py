@@ -249,7 +249,11 @@ def field_buchberger(order, generators):
     """Buchberger over Q with the field division step, which divides by
     leading coefficients; the reference for the integer step."""
     gens = [g for g in generators if g]
-    return groebner._packed_call(order, gens, lambda pk: groebner._buchberger_packed(pk, gens, groebner._Field))
+
+    def run(pk):
+        return [pk.polynomial(gens[0].ring, e) for e in groebner._buchberger_packed(pk, gens, groebner._Field)]
+
+    return groebner._packed_call(order, gens, run)
 
 
 def interreduce_by_normal_form(order, polys):
