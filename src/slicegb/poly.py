@@ -365,10 +365,11 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
 
 # -- exact division --------------------------------------------------
 #
-# ``exact_divide`` stays on exponent tuples.  Most of its calls come
-# from the gcd in every ``RationalFunction`` construction and divide
-# tiny polynomials, often a monomial by a monomial, where building a
-# packing per call costs several times the division itself.
+# ``exact_divide`` works on exponent tuples, not on the packed terms of
+# the division kernel in ``groebner``.  Most of its calls come from the
+# polynomial gcd of ``ratfunc`` and divide tiny polynomials, often a
+# monomial by a monomial, where building a packing per call costs
+# several times the division itself.
 
 
 class _TopTerm:
