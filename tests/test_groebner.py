@@ -246,8 +246,8 @@ def test_reduced_basis_ignores_generator_presentation(gens, rng):
 
 
 def field_buchberger(order, generators):
-    """Buchberger over Q with the field division step, which divides by
-    leading coefficients; the reference for the integer step."""
+    """Buchberger with the field division step, which divides by leading
+    coefficients; the reference for the integer and parameter steps."""
     gens = [g for g in generators if g]
 
     def run(pk):
