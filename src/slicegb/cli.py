@@ -214,9 +214,8 @@ def _cmd_section(args) -> int:
         raise ValueError("the zero ideal has nothing to slice")
     basis = groebner_basis(order, gens)
     form = LinearForm.from_polynomial(parse_polynomial(idf.ring, args.cut))
-    report = section_basis(basis, form)
-    sub = report.basis.order
-    strs = _poly_lines(sub, report.basis)
+    sliced = section_basis(basis, form)
+    strs = _poly_lines(sliced.order, sliced)
     payload = {
         "ring": list(form.sub_ring().names),
         "generators": strs,
@@ -261,14 +260,13 @@ def _cmd_common_lift(args) -> int:
 def _cmd_reconstruct(args) -> int:
     sf = load_slice_file(_read(args.file))
     order = order_by_name(sf.family.ring, args.order) if args.order else sf.order
-    result = reconstruct_basis(sf.family, sf.slice_bases, order)
-    if not result.certified:
-        print("note: lifted basis not membership-checked", file=sys.stderr)
-    strs = _poly_lines(order, result.basis)
+    basis = reconstruct_basis(sf.family, sf.slice_bases, order)
+    print("note: lifted basis not membership-checked", file=sys.stderr)
+    strs = _poly_lines(order, basis)
     payload = {
         "ring": list(sf.family.ring.names),
         "generators": strs,
-        "certified": result.certified,
+        "certified": False,
     }
     return _emit(args, payload, strs)
 
@@ -320,11 +318,11 @@ def _cmd_ncc(args) -> int:
 def _cmd_sigma_scheme(args) -> int:
     ff, _, basis = _family_basis(args)
     scheme = coefficient_scheme(ff.family.params, nonconstant_coefficients(basis))
-    sorder = DegRevLex(scheme.ring.arity)
-    strs = _poly_lines(sorder, scheme.ideal.generators)
-    lines = [str(scheme.ring)] + strs + [f"dimension: {scheme.dimension}"]
+    yring = scheme.ideal.ring
+    strs = _poly_lines(DegRevLex(yring.arity), scheme.ideal.generators)
+    lines = [str(yring)] + strs + [f"dimension: {scheme.dimension}"]
     payload = {
-        "ring": list(scheme.ring.names),
+        "ring": list(yring.names),
         "generators": strs,
         "dimension": scheme.dimension,
     }
@@ -391,7 +389,7 @@ def _cmd_detect(args) -> int:
     order = DegRevLex(fam.params.arity)
     strs = _poly_lines(order, res.ideal.generators)
     lines = strs + [f"dimension: {res.dimension}"]
-    if res.inconsistent:
+    if res.empty:
         lines.append("inconsistent")
     elif res.solution is not None:
         lines.append(f"solution: {_point_text(res.solution)}")
@@ -399,7 +397,7 @@ def _cmd_detect(args) -> int:
         "generators": strs,
         "dimension": res.dimension,
         "solution": [str(c) for c in res.solution] if res.solution else None,
-        "inconsistent": res.inconsistent,
+        "inconsistent": res.empty,
     }
     return _emit(args, payload, lines)
 

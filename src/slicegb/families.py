@@ -127,7 +127,7 @@ def family_basis(fam: Family, order: TermOrder = None) -> GroebnerBasis:
         order = DegRevLex(fam.ring.arity)
     gens = fam.over_field()
     if not gens:
-        return GroebnerBasis(order, (), is_minimal=True, is_reduced=True)
+        return GroebnerBasis(order, ())
     basis = groebner_basis(order, gens)
     if len(basis) == 1 and basis.elements[0].is_constant():
         raise DependentParameters(
@@ -182,12 +182,7 @@ def specialize_basis(basis: GroebnerBasis, values: Sequence[Fraction]) -> Groebn
     """The fiber basis at a parameter point.  Off the vanishing locus of
     the common denominator this is again reduced: specializing keeps
     every leading term (they are monic) and can only shrink supports."""
-    return GroebnerBasis(
-        basis.order,
-        tuple(specialize_polynomial(g, values) for g in basis),
-        is_minimal=basis.is_minimal,
-        is_reduced=basis.is_reduced,
-    )
+    return GroebnerBasis(basis.order, tuple(specialize_polynomial(g, values) for g in basis))
 
 
 def specialize_family(fam: Family, values: Sequence[Fraction]) -> Ideal:
@@ -202,8 +197,11 @@ def specialize_family(fam: Family, values: Sequence[Fraction]) -> Ideal:
 
 @dataclass(frozen=True)
 class IndependenceReport:
-    independent: bool
     witness: Optional[Polynomial]
+
+    @property
+    def independent(self) -> bool:
+        return self.witness is None
 
 
 def parameters_independent(fam: Family) -> IndependenceReport:
@@ -214,10 +212,8 @@ def parameters_independent(fam: Family) -> IndependenceReport:
     ideal = fam.combined_ideal()
     relations = eliminate(ideal, range(m, m + fam.ring.arity))
     if relations.is_zero:
-        return IndependenceReport(True, None)
-    order = DegRevLex(m)
-    witness = integer_normalize(relations.generators[0], order)
-    return IndependenceReport(False, witness)
+        return IndependenceReport(None)
+    return IndependenceReport(integer_normalize(relations.generators[0], DegRevLex(m)))
 
 
 # -- the scheme traced by the coefficients ---------------------------
@@ -225,10 +221,8 @@ def parameters_independent(fam: Family) -> IndependenceReport:
 
 @dataclass(frozen=True)
 class SchemeDescription:
-    ring: Ring
     ideal: Ideal
     dimension: int
-    parametrization: Tuple[RationalFunction, ...]
 
 
 def coefficient_scheme(
@@ -241,10 +235,9 @@ def coefficient_scheme(
     inverting the least common multiple of the denominators, so points
     where some denominator vanishes never leak into the image.
     """
-    values = tuple(values)
     yring = Ring(tuple(f"y{j + 1}" for j in range(len(values))))
     implicit = _eliminate_params(params, yring, zip(yring.names, values))
-    return SchemeDescription(yring, implicit, dimension(implicit), values)
+    return SchemeDescription(implicit, dimension(implicit))
 
 
 # -- hyperplane sections of families ---------------------------------
@@ -254,9 +247,11 @@ def coefficient_scheme(
 class FamilySectionReport:
     family: Family
     basis: GroebnerBasis
-    form: LinearForm
-    independent: bool
     witness: Optional[Polynomial]
+
+    @property
+    def independent(self) -> bool:
+        return self.witness is None
 
 
 def _section_generator(g: Polynomial, form: LinearForm) -> Polynomial:
@@ -285,20 +280,14 @@ def family_section(
     )
     indep = parameters_independent(sectioned)
     try:
-        report = section_basis(basis, form)
+        sliced = section_basis(basis, form)
     except HypothesisViolation as failure:
         raise HypothesisViolation(
             str(failure),
             offending=failure.offending,
             dependence=indep.witness,
         ) from None
-    return FamilySectionReport(
-        family=sectioned,
-        basis=report.basis,
-        form=form,
-        independent=indep.independent,
-        witness=indep.witness,
-    )
+    return FamilySectionReport(sectioned, sliced, indep.witness)
 
 
 # -- file formats ----------------------------------------------------

@@ -59,10 +59,19 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A basis under ``order``; whether it is minimal or reduced is
+    read off the elements each time it is asked."""
+
     order: TermOrder
     elements: Tuple[Polynomial, ...]
-    is_minimal: bool
-    is_reduced: bool
+
+    @property
+    def is_minimal(self) -> bool:
+        return check_minimal(self.order, self.elements)
+
+    @property
+    def is_reduced(self) -> bool:
+        return check_reduced(self.order, self.elements)
 
     def leading_power_products(self) -> Tuple[PowerProduct, ...]:
         return tuple(g.leading_power_product(self.order) for g in self.elements)
@@ -591,7 +600,7 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
     """
     nonzero = [g for g in polys if g]
     if not nonzero:
-        return GroebnerBasis(order, (), is_minimal=True, is_reduced=True)
+        return GroebnerBasis(order, ())
     # One pass suffices: leading terms are pairwise non-divisible, so
     # division never disturbs them, and the reduced basis is unique.
     step, ring = _step(nonzero), nonzero[0].ring
@@ -599,7 +608,7 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
     def run(pk: _Packing) -> List[Polynomial]:
         return _reduce_basis_packed(pk, ring, [step.pack(pk, g) for g in nonzero], step)
 
-    return GroebnerBasis(order, tuple(_packed_call(order, nonzero, run)), is_minimal=True, is_reduced=True)
+    return GroebnerBasis(order, tuple(_packed_call(order, nonzero, run)))
 
 
 def groebner_basis(order: TermOrder, generators: Sequence[Polynomial]) -> GroebnerBasis:
@@ -612,7 +621,7 @@ def groebner_basis(order: TermOrder, generators: Sequence[Polynomial]) -> Groebn
     def run(pk: _Packing) -> List[Polynomial]:
         return _reduce_basis_packed(pk, ring, _buchberger_packed(pk, gens, step), step)
 
-    return GroebnerBasis(order, tuple(_packed_call(order, gens, run)), is_minimal=True, is_reduced=True)
+    return GroebnerBasis(order, tuple(_packed_call(order, gens, run)))
 
 
 def is_member(f: Polynomial, basis: GroebnerBasis) -> bool:

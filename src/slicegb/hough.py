@@ -47,16 +47,11 @@ class HoughResult:
 
     ideal: Ideal
     dimension: int
-    empty: bool
     solution: Optional[Point]
 
-
-@dataclass(frozen=True)
-class DetectionResult:
-    solution: Optional[Point]
-    ideal: Ideal
-    dimension: int
-    inconsistent: bool
+    @property
+    def empty(self) -> bool:
+        return self.dimension == -1
 
 
 def _at_point(g: Polynomial, point: Point, params: Ring) -> Polynomial:
@@ -97,15 +92,15 @@ def _parameter_locus(params: Ring, generators: Sequence[Polynomial]) -> HoughRes
     if not gens:
         # every condition vanished: the whole parameter space qualifies,
         # which is a single point only when there are no parameters
-        return HoughResult(Ideal(params, ()), params.arity, False, () if not params.arity else None)
+        return HoughResult(Ideal(params, ()), params.arity, () if not params.arity else None)
     basis = groebner_basis(order, gens)
     ideal = Ideal(params, basis.elements)
     if len(basis) == 1 and basis.elements[0].is_constant():
-        return HoughResult(ideal, -1, True, None)
+        return HoughResult(ideal, -1, None)
     dim = monomial_dimension(
         MonomialIdeal.of(params.arity, basis.leading_power_products())
     )
-    return HoughResult(ideal, dim, False, _rational_point(params, basis))
+    return HoughResult(ideal, dim, _rational_point(params, basis))
 
 
 def _check_point(fam: Family, point) -> Point:
@@ -166,18 +161,17 @@ def solve_linear_hough(fam: Family, point) -> Point:
     return locus.solution
 
 
-def detect(fam: Family, points) -> DetectionResult:
-    """Combine the parameter loci of several points by summing their
-    ideals.  A unique common member comes back as a point, checked
-    against every input; otherwise the summed locus itself is returned,
-    or flagged inconsistent when it is empty."""
+def detect(fam: Family, points) -> HoughResult:
+    """The parameter locus of several points at once: the sum of their
+    ideals, in the form :func:`hough_ideal` gives for one point.  When
+    the locus is a single member its parameters are the solution,
+    checked against every input point; when no member passes through
+    every point the locus is empty."""
     pts = [_check_point(fam, p) for p in points]
     conditions = [
         _at_point(g, p, fam.params) for p in pts for g in fam.generators
     ]
     locus = _parameter_locus(fam.params, conditions)
-    if locus.empty:
-        return DetectionResult(None, locus.ideal, -1, True)
     if locus.solution is not None:
         fiber = specialize_family(fam, locus.solution)
         for p in pts:
@@ -186,8 +180,7 @@ def detect(fam: Family, points) -> DetectionResult:
                     raise MembershipFailed(
                         f"detected parameters miss the input point {p}"
                     )
-        return DetectionResult(locus.solution, locus.ideal, locus.dimension, False)
-    return DetectionResult(None, locus.ideal, locus.dimension, False)
+    return locus
 
 
 # -- surface reconstruction from sliced detections -------------------
@@ -208,19 +201,17 @@ def _slice_curve(args) -> Polynomial:
             - Polynomial.constant(template.params, data.terms.get(t, 0))
             for t in set(g.terms) | set(data.terms)
         ])
-        empty, solution = locus.empty, locus.solution
         no_member = "the curve does not have the template shape"
         many = "several parameter choices give this curve"
     else:
-        found = detect(template, data)
-        empty, solution = found.inconsistent, found.solution
+        locus = detect(template, data)
         no_member = "no curve of the template shape passes through the data"
         many = "the data pins a positive-dimensional set of curves"
-    if empty:
+    if locus.empty:
         raise Inconsistent(f"slice at {gamma}: {no_member}")
-    if solution is None:
+    if locus.solution is None:
         raise Underdetermined(f"slice at {gamma}: {many}")
-    fiber = specialize_family(template, solution)
+    fiber = specialize_family(template, locus.solution)
     if len(fiber.generators) != 1:
         raise ValueError(
             f"slice at {gamma}: the detected parameters annihilate the template"
@@ -233,7 +224,6 @@ def reconstruct_surface(
     pivot: str,
     slices: Sequence[Tuple[Fraction, object]],
     order: TermOrder = None,
-    membership=None,
     jobs: int = 1,
 ) -> Polynomial:
     """Rebuild a surface from its curves on parallel slices.
@@ -244,7 +234,8 @@ def reconstruct_surface(
     polynomial itself or a list of points to detect it from.  The
     per-coefficient interpolation is exact when the surface's pivot
     degree is below the number of slices, and every slice equation is
-    re-verified on the result.
+    re-verified on the result; the surface itself is not checked for
+    membership in any ideal.
     """
     if len(template.generators) != 1:
         raise ValueError("surface reconstruction needs a single-generator template")
@@ -256,8 +247,7 @@ def reconstruct_surface(
         order = DegRevLex(full.arity)
     with closing(map_slices(_slice_curve, [(template, *s) for s in data], jobs)) as found:
         curves = [[c] for c in found]
-    result = reconstruct_basis(family, curves, order, membership)
-    return result.basis.elements[0]
+    return reconstruct_basis(family, curves, order).elements[0]
 
 
 # -- detection files -------------------------------------------------

@@ -33,8 +33,6 @@ from .errors import (
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    check_minimal,
-    check_reduced,
     eliminate,
     groebner_basis,
     integer_normalize,
@@ -58,6 +56,26 @@ from .rings import PowerProduct, Ring, pp_divides, pp_insert
 # -- linear forms ----------------------------------------------------
 
 
+def _check_cut(ring: Ring, pivot: int, tail: Sequence[Tuple[int, Fraction]], after_pivot: bool) -> None:
+    """Reject a cut whose pivot or tail index names no variable of the
+    ring, whose tail uses the pivot or a variable twice or has a zero
+    coefficient, or, with ``after_pivot``, whose tail uses a variable
+    listed before the pivot."""
+    if not 0 <= pivot < ring.arity:
+        raise ValueError("pivot index out of range")
+    if len({j for j, _ in tail}) != len(tail):
+        raise ValueError("repeated tail variable")
+    for j, c in tail:
+        if not 0 <= j < ring.arity:
+            raise ValueError("variable index out of range")
+        if after_pivot and j <= pivot:
+            raise ValueError("tail variables must come after the pivot")
+        if j == pivot:
+            raise ValueError("tail must avoid the pivot")
+        if not c:
+            raise ValueError("zero tail coefficient")
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """A cut ``x_i = sum c_j x_j + gamma`` where every tail variable
@@ -69,15 +87,7 @@ class LinearForm:
     gamma: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.pivot < self.ring.arity:
-            raise ValueError("pivot index out of range")
-        for j, c in self.tail:
-            if j >= self.ring.arity:
-                raise ValueError("variable index out of range")
-            if j <= self.pivot:
-                raise ValueError("tail variables must come after the pivot")
-            if not c:
-                raise ValueError("zero tail coefficient")
+        _check_cut(self.ring, self.pivot, self.tail, after_pivot=True)
 
     @classmethod
     def of(cls, ring: Ring, pivot: str, tail: Optional[Dict[str, Fraction]] = None,
@@ -142,13 +152,7 @@ class HomLinearForm:
     coeffs: Tuple[Tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.pivot < self.ring.arity:
-            raise ValueError("pivot index out of range")
-        for j, c in self.coeffs:
-            if j == self.pivot:
-                raise ValueError("tail must avoid the pivot")
-            if not c:
-                raise ValueError("zero tail coefficient")
+        _check_cut(self.ring, self.pivot, self.coeffs, after_pivot=False)
 
     @classmethod
     def of(cls, ring: Ring, pivot: str,
@@ -193,48 +197,39 @@ class HomLinearForm:
 # -- slicing a known basis -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SectionReport:
-    form: LinearForm
-    basis: GroebnerBasis
-
-
-def _pivot_blockers(order: TermOrder, polys: Sequence[Polynomial], pivot: int) -> List[Polynomial]:
-    return [g for g in polys if g.leading_power_product(order)[pivot] != 0]
-
-
-def section_basis(gb: GroebnerBasis, form: LinearForm) -> SectionReport:
-    """Slice a monic basis along a cut.
-
-    When no leading term involves the pivot, the substituted elements
-    form a basis of the sliced ideal under the restricted ordering and
-    the cut is a non-zero-divisor on the quotient.  Leading terms
-    survive the substitution unchanged, so minimality carries over;
-    reducedness is re-checked because a non-axis tail can introduce new
-    lower terms.
-    """
-    order = gb.order
+def _check_cut_hypothesis(order: TermOrder, polys: Sequence[Polynomial], form: LinearForm,
+                          what: str) -> None:
+    """The preconditions for slicing ``polys`` along ``form``: the cut's
+    tail sits below its pivot in the ordering, every element is monic,
+    and no leading term involves the pivot."""
     if not form.compatible_with(order):
         raise ValueError("tail variables must be below the pivot in this ordering")
-    for g in gb.elements:
+    for g in polys:
         if g.leading_term(order)[0] != 1:
-            raise ValueError("basis must be monic")
-    blockers = _pivot_blockers(order, gb.elements, form.pivot)
+            raise ValueError(f"{what} must be monic")
+    blockers = [g for g in polys if g.leading_power_product(order)[form.pivot] != 0]
     if blockers:
         name = form.ring.names[form.pivot]
         raise HypothesisViolation(
             f"{len(blockers)} leading term(s) involve {name}", offending=blockers
         )
-    sub_order = order.restrict(form.pivot)
+
+
+def section_basis(gb: GroebnerBasis, form: LinearForm) -> GroebnerBasis:
+    """Slice a monic basis along a cut.
+
+    When no leading term involves the pivot, the substituted elements
+    form a basis of the sliced ideal under the restricted ordering and
+    the cut is a non-zero-divisor on the quotient.  Leading terms
+    survive the substitution unchanged, so minimality carries over; the
+    sliced basis need not be reduced, because a non-axis tail can
+    introduce new lower terms.
+    """
+    _check_cut_hypothesis(gb.order, gb.elements, form, "basis")
+    sub_order = gb.order.restrict(form.pivot)
     images = sorted((form.apply(g) for g in gb.elements),
                     key=lambda g: sub_order.key(g.leading_power_product(sub_order)))
-    sliced = GroebnerBasis(
-        sub_order,
-        tuple(images),
-        is_minimal=check_minimal(sub_order, images),
-        is_reduced=check_reduced(sub_order, images),
-    )
-    return SectionReport(form, sliced)
+    return GroebnerBasis(sub_order, tuple(images))
 
 
 def homogeneous_section_basis(ideal: Ideal, form: HomLinearForm, order: TermOrder) -> GroebnerBasis:
@@ -260,7 +255,7 @@ def homogeneous_section_basis(ideal: Ideal, form: HomLinearForm, order: TermOrde
     images = [form.project(g) for g in basis]
     images = sorted((g for g in images if g),
                     key=lambda g: sub_order.key(g.leading_power_product(sub_order)))
-    return GroebnerBasis(sub_order, tuple(images), is_minimal=True, is_reduced=True)
+    return GroebnerBasis(sub_order, tuple(images))
 
 
 def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearForm,
@@ -275,20 +270,10 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
     without ever running a basis computation there when the candidate
     generates the ideal by construction.
     """
-    if not form.compatible_with(order):
-        raise ValueError("tail variables must be below the pivot in this ordering")
     cand = [g for g in candidate if g]
+    _check_cut_hypothesis(order, cand, form, "candidate")
     if not cand:
         raise ValueError("empty candidate")
-    for g in cand:
-        if g.leading_term(order)[0] != 1:
-            raise ValueError("candidate must be monic")
-    blockers = _pivot_blockers(order, cand, form.pivot)
-    if blockers:
-        name = ideal.ring.names[form.pivot]
-        raise HypothesisViolation(
-            f"{len(blockers)} leading term(s) involve {name}", offending=blockers
-        )
     sub_order = order.restrict(form.pivot)
     sliced_gens = [form.apply(g) for g in ideal.generators]
     downstairs = groebner_basis(sub_order, sliced_gens)
@@ -312,12 +297,7 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
         if outside:
             raise ValueError(f"{len(outside)} candidate element(s) lie outside the ideal")
     ordered = sorted(cand, key=lambda g: order.key(g.leading_power_product(order)))
-    return GroebnerBasis(
-        order,
-        tuple(ordered),
-        is_minimal=check_minimal(order, ordered),
-        is_reduced=check_reduced(order, ordered),
-    )
+    return GroebnerBasis(order, tuple(ordered))
 
 
 # -- interpolation across parallel slices ----------------------------
@@ -401,11 +381,9 @@ class SliceFamily:
     gammas: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _check_cut(self.ring, self.pivot, self.tail, after_pivot=True)
         if len(set(self.gammas)) != len(self.gammas):
             raise ValueError("slice constants must be distinct")
-        for j, _ in self.tail:
-            if j <= self.pivot:
-                raise ValueError("tail variables must come after the pivot")
 
     @classmethod
     def of(cls, ring: Ring, pivot: str, gammas: Iterable,
@@ -462,19 +440,8 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     return lifted
 
 
-class TrustMembership:
-    """Skip membership checking; the result is flagged uncertified."""
-
-    certified = False
-
-    def accepts(self, g: Polynomial) -> bool:
-        return True
-
-
 class BasisMembership:
     """Check membership against a known basis of the target ideal."""
-
-    certified = True
 
     def __init__(self, basis: GroebnerBasis):
         self.basis = basis
@@ -487,8 +454,6 @@ class MapMembership:
     """Accept polynomials that vanish under a substitution map, e.g. a
     parametrization of the variety being rebuilt."""
 
-    certified = True
-
     def __init__(self, images: Sequence[Polynomial], target: Ring):
         self.images = list(images)
         self.target = target
@@ -497,27 +462,21 @@ class MapMembership:
         return not compose(g, self.images, self.target)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    basis: GroebnerBasis
-    certified: bool
-
-
 def reconstruct_basis(
     family: SliceFamily,
     slice_bases: Sequence[Sequence[Polynomial]],
     order: TermOrder,
     membership=None,
-) -> ReconstructionResult:
+) -> GroebnerBasis:
     """Rebuild a basis upstairs from reduced bases of parallel slices.
 
     Slice bases are matched up by their shared leading terms, each group
     is lifted by interpolation, and every lifted element must keep its
-    slice leading term upstairs; the optional membership check then
-    certifies that the lift lands in the intended ideal.
+    slice leading term upstairs.  A ``membership`` check, such as
+    :class:`BasisMembership` or :class:`MapMembership`, then certifies
+    that the lift lands in the intended ideal, raising MembershipFailed
+    otherwise; without one the lift is returned unchecked.
     """
-    if membership is None:
-        membership = TrustMembership()
     if len(slice_bases) != len(family.gammas):
         raise ValueError("one slice basis per slice constant required")
     if not slice_bases or not all(slice_bases):
@@ -541,17 +500,12 @@ def reconstruct_basis(
                 "more slices or a different ordering needed"
             )
         lifted.append(g)
-    rejected = [g for g in lifted if not membership.accepts(g)]
-    if rejected:
-        raise MembershipFailed(f"{len(rejected)} lifted element(s) failed the membership check")
+    if membership is not None:
+        rejected = [g for g in lifted if not membership.accepts(g)]
+        if rejected:
+            raise MembershipFailed(f"{len(rejected)} lifted element(s) failed the membership check")
     lifted.sort(key=lambda g: order.key(g.leading_power_product(order)))
-    basis = GroebnerBasis(
-        order,
-        tuple(lifted),
-        is_minimal=check_minimal(order, lifted),
-        is_reduced=check_reduced(order, lifted),
-    )
-    return ReconstructionResult(basis, certified=membership.certified)
+    return GroebnerBasis(order, tuple(lifted))
 
 
 # -- implicitization -------------------------------------------------
@@ -658,7 +612,6 @@ def implicitize(
     mode: str = "eliminate",
     pivot: Optional[str] = None,
     order: Optional[TermOrder] = None,
-    gamma_offset: Optional[int] = None,
     jobs: int = 1,
 ) -> Polynomial:
     """Implicit equation of a parametrized hypersurface, normalized to
@@ -715,7 +668,7 @@ def implicitize(
     for d in degrees[: param_ring.arity]:
         bound *= d
     cap = bound + 2
-    gammas = list(itertools.islice(gamma_stream(gamma_offset), 4 * cap + 16))
+    gammas = list(itertools.islice(gamma_stream(), 4 * cap + 16))
     work = ((param_ring, sub_ring, sub_pairs, pivot_image, sub_order, g) for g in gammas)
     best_lt: Optional[PowerProduct] = None
     with closing(map_slices(_slice_curve_job, work, jobs)) as slices:

@@ -275,7 +275,7 @@ def test_family_without_parameters_is_its_own_member():
 def test_detect_two_points_pins_the_line():
     result = detect(line_family(), [(0, 1), (1, 0)])
     assert result.solution == (Fraction(1), Fraction(-1))
-    assert not result.inconsistent
+    assert not result.empty
     # the line x2 +x1 -1 = 0 through both points
     member = p("x2 +x1 -1", ring("x1", "x2"))
     assert member.evaluate([0, 1]) == 0 and member.evaluate([1, 0]) == 0
@@ -284,14 +284,19 @@ def test_detect_two_points_pins_the_line():
 def test_detect_single_point_stays_underdetermined():
     result = detect(line_family(), [(0, 1)])
     assert result.solution is None
-    assert not result.inconsistent
+    assert not result.empty
     assert result.dimension == 1
     assert [repr(g) for g in result.ideal.generators] == ["a2 +1"]
 
 
+def test_detect_of_one_point_is_its_hough_locus():
+    for point in [(0, 1), (2, -3)]:
+        assert detect(line_family(), [point]) == hough_ideal(line_family(), point)
+
+
 def test_detect_contradictory_points():
     result = detect(line_family(), [(0, 0), (1, 0), (0, 1)])
-    assert result.inconsistent
+    assert result.empty
     assert result.dimension == -1
     assert [repr(g) for g in result.ideal.generators] == ["1"]
 

@@ -31,7 +31,6 @@ from slicegb.sections import (
     LinearForm,
     MapMembership,
     SliceFamily,
-    TrustMembership,
     common_lifting,
     gamma_stream,
     homogeneous_section_basis,
@@ -82,6 +81,28 @@ def test_linear_form_rejects_bad_input():
     with pytest.raises(ValueError):
         # tail variable before the pivot
         LinearForm.of(r, "z", {"x": Fraction(1)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HomLinearForm(R3, 0, ((5, Fraction(1)),)),
+    lambda: HomLinearForm(R3, 0, ((-1, Fraction(1)),)),
+    lambda: HomLinearForm(R3, 3, ()),
+    lambda: LinearForm(R3, 0, ((3, Fraction(1)),)),
+    lambda: LinearForm(R3, 0, ((1, Fraction(0)),)),
+    lambda: SliceFamily(R3, 7, (), (Fraction(1), Fraction(2))),
+    lambda: SliceFamily(R3, 0, ((5, Fraction(1)),), (Fraction(1), Fraction(2))),
+    lambda: SliceFamily.of(R2, "x", [1, 2], {"y": 0}),
+    lambda: SliceFamily.of(R3, "y", [1, 2], {"x": 1}),
+    lambda: HomLinearForm(R3, 0, ((1, Fraction(1)), (1, Fraction(2)))),
+    lambda: LinearForm(R3, 0, ((1, Fraction(1)), (1, Fraction(2)))),
+    lambda: SliceFamily(R3, 0, ((1, Fraction(1)), (1, Fraction(2))), (Fraction(1),)),
+], ids=["hom-tail-past-arity", "hom-negative-tail", "hom-pivot-past-arity",
+        "tail-past-arity", "zero-tail", "family-pivot-past-arity",
+        "family-tail-past-arity", "family-zero-tail", "family-tail-before-pivot",
+        "hom-repeated-tail", "repeated-tail", "family-repeated-tail"])
+def test_cuts_reject_bad_pivots_and_tails(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_linear_form_apply():
@@ -196,9 +217,9 @@ def test_homogeneous_section_rejects_wrong_order():
 def test_section_basis_keeps_leading_terms():
     order = degrevlex(R3)
     gb = groebner_basis(order, [p("x^2 -y", R3), p("y^2 -z", R3)])
-    report = section_basis(gb, LinearForm.of(R3, "z", gamma=Fraction(3)))
-    assert strings(report.basis) == ["y^2 -3", "x^2 -y"]
-    assert report.basis.is_minimal and report.basis.is_reduced
+    sliced = section_basis(gb, LinearForm.of(R3, "z", gamma=Fraction(3)))
+    assert strings(sliced) == ["y^2 -3", "x^2 -y"]
+    assert sliced.is_minimal and sliced.is_reduced
 
 
 def test_section_basis_flags_blocking_leading_terms():
@@ -227,10 +248,10 @@ def test_section_basis_oblique_cut_loses_reducedness():
     order = degrevlex(r)
     gb = groebner_basis(order, [p("x2^3 -x1^2", r), p("x3^2 -1", r)])
     assert gb.is_reduced
-    report = section_basis(gb, LinearForm.of(r, "x1", {"x3": Fraction(1)}))
-    assert strings(report.basis) == ["x3^2 -1", "x2^3 -x3^2"]
-    assert report.basis.is_minimal
-    assert not report.basis.is_reduced
+    sliced = section_basis(gb, LinearForm.of(r, "x1", {"x3": Fraction(1)}))
+    assert strings(sliced) == ["x3^2 -1", "x2^3 -x3^2"]
+    assert sliced.is_minimal
+    assert not sliced.is_reduced
 
 
 def test_verify_lifting_round_trip():
@@ -459,9 +480,8 @@ def lemon_family():
 def test_lemon_surface_reconstruction():
     fam, bases = lemon_family()
     out = reconstruct_basis(fam, bases, lex(R3))
-    assert strings(out.basis) == ["x^2 +y^6 -3*y^5 +3*y^4 -y^3 +z^2"]
-    assert not out.certified
-    surface = out.basis.elements[0]
+    assert strings(out) == ["x^2 +y^6 -3*y^5 +3*y^4 -y^3 +z^2"]
+    surface = out.elements[0]
     # x^2 + z^2 - y^3*(1-y)^3
     assert surface == p("x^2 +z^2", R3) - p("y", R3) ** 3 * p("1 -y", R3) ** 3
 
@@ -471,8 +491,7 @@ def test_lemon_reconstruction_certified_against_basis():
     factored = p("x^2 +z^2", R3) - p("y", R3) ** 3 * p("1 -y", R3) ** 3
     target = groebner_basis(lex(R3), [factored])
     out = reconstruct_basis(fam, bases, lex(R3), membership=BasisMembership(target))
-    assert out.certified
-    assert out.basis.is_reduced
+    assert out.is_reduced
 
 
 def test_lemon_reconstruction_needs_lex():
@@ -506,11 +525,9 @@ def test_multi_element_reconstruction():
     fam = SliceFamily.of(R3, "z", [2, -2, 3, -3, 4])
     bases = []
     for form in fam.forms():
-        report = section_basis(gb, form)
-        bases.append(list(report.basis.elements))
+        bases.append(list(section_basis(gb, form).elements))
     out = reconstruct_basis(fam, bases, order, membership=BasisMembership(gb))
-    assert list(out.basis.elements) == list(gb.elements)
-    assert out.certified
+    assert list(out.elements) == list(gb.elements)
 
 
 # -- implicitization -------------------------------------------------
@@ -830,9 +847,9 @@ def test_section_then_lift_round_trip(data):
         return
     gamma = data.draw(fractions(max_num=4, max_den=2), label="gamma")
     form = LinearForm(R3, pivot, (), Fraction(gamma))
-    report = section_basis(gb, form)
-    down = groebner_basis(report.basis.order, [form.apply(g) for g in gb])
-    assert list(down.elements) == list(report.basis.elements)
+    sliced = section_basis(gb, form)
+    down = groebner_basis(sliced.order, [form.apply(g) for g in gb])
+    assert list(down.elements) == list(sliced.elements)
     lifted = verify_lifting(Ideal.of(R3, list(gb.elements)), list(gb.elements), form, order)
     assert list(lifted.elements) == list(gb.elements)
     assert lifted.is_minimal and lifted.is_reduced
