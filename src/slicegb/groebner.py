@@ -28,8 +28,6 @@ from .ratfunc import RationalFunction, polynomial_gcd, polynomial_lcm
 from .rings import (
     PowerProduct,
     Ring,
-    pp_coprime,
-    pp_degree,
     pp_div,
     pp_divides,
     pp_lcm,
@@ -154,6 +152,12 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # order, and adding two ints multiplies the terms.  With guard bits
 # clear in both, s divides t exactly when ``(t - s) & exp_guards`` is
 # 0, since a negative exponent field borrows through its own guard bit.
+# The same borrow gives the field-wise max: ``((a | guards) - b) &
+# guards`` keeps the guard bit of each field where a >= b, and
+# subtracting that mask shifted down by ``bits`` turns each kept guard
+# bit into the value bits below it, which select a's field over b's.
+# An lcm is the field-wise max of the exponents, with the weight rows
+# recomputed from them.
 #
 # No field of a term exceeds its weighted degree, the sum of e_i times
 # the largest weight of variable i (at least 1).  ``bits`` holds four
@@ -176,7 +180,8 @@ def _weight_bounds(order: TermOrder) -> List[int]:
 class _Packing:
     """Packed terms of one ordering at one field width."""
 
-    __slots__ = ("bounds", "units", "limit", "shifts", "exp_shifts", "guards", "exp_guards")
+    __slots__ = ("bounds", "units", "bits", "limit", "shifts", "exp_shifts", "guards", "values",
+                 "exp_guards", "degree_shifts")
 
     def __init__(self, order: TermOrder, bits: int):
         n, rows = order.n, order.weights()
@@ -189,9 +194,21 @@ class _Packing:
             for i in range(n)
         ]
         self.bounds = _weight_bounds(order)
+        self.bits = bits
         self.limit = (1 << bits) - 1
         self.guards = sum(1 << (k + bits) for k in self.shifts)
+        self.values = sum(self.limit << k for k in self.shifts)
         self.exp_guards = sum(1 << (k + bits) for k in self.exp_shifts)
+        # the fields of 0/1 rows whose supports partition the variables,
+        # weight rows first, then exponents: their sum is the degree
+        unit_rows = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        covered: set = set()
+        self.degree_shifts = []
+        for row, k in [*zip(rows, reversed(self.shifts)), *zip(unit_rows, self.exp_shifts)]:
+            support = {i for i, w in enumerate(row) if w}
+            if set(row) <= {0, 1} and not support & covered:
+                covered |= support
+                self.degree_shifts.append(k)
 
     def pack(self, t: PowerProduct) -> int:
         if sum(map(operator.mul, self.bounds, t)) > self.limit:
@@ -205,14 +222,24 @@ class _Packing:
     def polynomial(self, ring: Ring, terms: Dict[int, object]) -> Polynomial:
         return Polynomial(ring, {self.unpack(u): c for u, c in terms.items()})
 
-    def top(self, terms: Sequence[int]) -> int:
+    def top(self, terms: Iterable[int]) -> int:
         """The field-wise largest of the terms, as a packed int."""
-        limit = self.limit
-        return sum(max([(u >> k) & limit for u in terms], default=0) << k for k in self.shifts)
+        bits, guards, values = self.bits, self.guards, self.values
+        acc = 0
+        for u in terms:
+            # guard bit of each field where acc >= u, then that field's value bits
+            m = ((acc | guards) - u) & guards
+            m -= m >> bits
+            acc = (acc & m) | (u & (values ^ m))
+        return acc
 
     def degree(self, terms: Iterable[int]) -> int:
         """The largest total degree of the packed terms."""
-        limit, shifts = self.limit, self.exp_shifts
+        shifts = self.degree_shifts
+        if shifts == self.shifts[-1:]:
+            # the top weight row is the degree, so the largest term has it
+            return max(terms) >> shifts[0]
+        limit = self.limit
         return max(sum((u >> k) & limit for k in shifts) for u in terms)
 
     def reducer(self, terms: Dict[int, object]) -> tuple:
@@ -497,27 +524,36 @@ class _Pairs:
         self.queue: List[tuple] = []
 
     def add(self, lt: int, sugar: int) -> None:
-        pk, divisible = self.pk, self.pk.exp_guards
+        pk, divisible, units = self.pk, self.pk.exp_guards, self.pk.units
         h = len(self.lts)
         t = pk.unpack(lt)
-        surplus = sugar - pp_degree(t)
-        lcms = [pp_lcm(s, t) for s in self.exps]
-        packed = [pk.pack(l) for l in lcms]
+        surplus = sugar - sum(t)
+        mul = operator.mul
+        lcms = [sum(map(mul, units, map(max, s, t))) for s in self.exps]
+        # a field of an lcm is at most the sum of two fields, so an
+        # overflow shows as a set guard bit
+        if reduce(operator.or_, lcms, 0) & pk.guards:
+            raise _WidthExceeded
         self.queue = [
             pair for pair in self.queue
-            if (pair[1] - lt) & divisible or pair[1] in (packed[pair[2]], packed[pair[3]])
+            if (pair[1] - lt) & divisible or pair[1] in (lcms[pair[2]], lcms[pair[3]])
         ]
         heapq.heapify(self.queue)
         classes: Dict[int, List[int]] = {}
         for i in self.active:
-            classes.setdefault(packed[i], []).append(i)
-        for l, members in classes.items():
-            if any(m != l and not (l - m) & divisible for m in classes):
+            classes.setdefault(lcms[i], []).append(i)
+        # a proper divisor is smaller, and divisibility is transitive:
+        # each lcm is checked against the smaller minimal ones
+        minimal: List[int] = []
+        for l in sorted(classes):
+            if any(not (l - m) & divisible for m in minimal):
                 continue
-            if any(pp_coprime(self.exps[i], t) for i in members):
+            minimal.append(l)
+            members = classes[l]
+            if any(l == self.lts[i] + lt for i in members):  # coprime
                 continue
             i = members[0]
-            pair_sugar = pp_degree(lcms[i]) + max(self.surplus[i], surplus)
+            pair_sugar = sum(map(max, self.exps[i], t)) + max(self.surplus[i], surplus)
             heapq.heappush(self.queue, (pair_sugar, l, i, h))
         self.active = [i for i in self.active if (self.lts[i] - lt) & divisible]
         self.active.append(h)

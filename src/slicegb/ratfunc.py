@@ -10,19 +10,115 @@ they clear denominators and pseudo-divide on the parameter
 polynomials, with :func:`polynomial_gcd` keeping them small, and build
 one fraction per coefficient at the end.
 
-The gcd underneath is the primitive remainder sequence, recursing on the
-coefficients of the chosen main variable.
+The gcd underneath works on the integer numerators of its inputs.  It
+first tries the heuristic gcd GCDHEU of B. W. Char, K. O. Geddes and
+G. H. Gonnet (J. Symbolic Comput. 7, 1989): evaluate the last variable
+at an integer, take the gcd of the images one variable down, and lift
+it back digit by digit.  A candidate counts only when exact division
+shows that it divides both inputs.  After six failed evaluation points
+the gcd falls back to the primitive remainder sequence, recursing on
+the coefficients of the chosen main variable.  The monic gcd is unique,
+so both give the same result.
 """
 
+import math
 from fractions import Fraction
-from typing import Dict
+from operator import add, sub
+from typing import Dict, Optional
 
 from .orders import DegRevLex
-from .poly import Polynomial, PowerProduct, exact_divide
+from .poly import Polynomial, PowerProduct, exact_divide, over_lcm
 from .rings import Ring
 
 
-# -- polynomial gcd --------------------------------------------------
+# -- the heuristic gcd -----------------------------------------------
+
+_IntPoly = Dict[PowerProduct, int]
+
+
+def _primitive(a: _IntPoly):
+    """The integer content of ``a`` and ``a`` divided by it."""
+    c = math.gcd(*a.values())
+    return c, (a if c == 1 else {t: x // c for t, x in a.items()})
+
+
+def _evaluate(a: _IntPoly, v: int, xi: int) -> _IntPoly:
+    """``a`` with x_v set to ``xi``."""
+    out: _IntPoly = {}
+    for t, x in a.items():
+        rest = t[:v] + (0,) + t[v + 1:]
+        out[rest] = out.get(rest, 0) + x * xi ** t[v]
+    return {t: x for t, x in out.items() if x}
+
+
+def _lift(g: _IntPoly, v: int, xi: int) -> _IntPoly:
+    """The polynomial in x_v whose value at ``xi`` is ``g``, with
+    coefficients in the symmetric range of ``xi``."""
+    out: _IntPoly = {}
+    half = xi // 2
+    for t, x in g.items():
+        e = 0
+        while x:
+            r = x % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[t[:v] + (e,) + t[v + 1:]] = r
+            x = (x - r) // xi
+            e += 1
+    return out
+
+
+def _divides(h: _IntPoly, a: _IntPoly) -> bool:
+    """Whether ``h`` divides ``a`` exactly over Z, by division under lex."""
+    lt = max(h)
+    lc = h[lt]
+    tail = [(t, x) for t, x in h.items() if t != lt]
+    work = dict(a)
+    while work:
+        t = max(work)
+        q = tuple(map(sub, t, lt))
+        if min(q) < 0:
+            return False
+        x, r = divmod(work.pop(t), lc)
+        if r:
+            return False
+        for s, y in tail:
+            u = tuple(map(add, s, q))
+            value = work.get(u, 0) - x * y
+            if value:
+                work[u] = value
+            else:
+                work.pop(u, None)
+    return True
+
+
+def _heuristic_gcd(a: _IntPoly, b: _IntPoly) -> Optional[_IntPoly]:
+    """A gcd over Z of two integer polynomials, content included and up
+    to sign, or None when six evaluation points give no candidate."""
+    if not a or not b:
+        return a or b
+    ca, a = _primitive(a)
+    cb, b = _primitive(b)
+    c = math.gcd(ca, cb)
+    present = [i for i in range(len(next(iter(a)))) if any(t[i] for t in a) or any(t[i] for t in b)]
+    if not present:
+        return {next(iter(a)): c}
+    v = present[-1]
+    # the bound of Char, Geddes and Gonnet, under which a lifted
+    # candidate that divides both inputs is their gcd
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(6):
+        g = _heuristic_gcd(_evaluate(a, v, xi), _evaluate(b, v, xi))
+        if g is not None:
+            _, h = _primitive(_lift(g, v, xi))
+            if _divides(h, a) and _divides(h, b):
+                return {t: c * x for t, x in h.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+# -- the primitive remainder sequence --------------------------------
 
 
 def _coefficient_of(f: Polynomial, v: int, e: int) -> Polynomial:
@@ -103,10 +199,15 @@ def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """The monic greatest common divisor; zero only when both inputs are."""
-    h = _gcd(f, g)
-    if not h:
-        return h
-    return h.monic(DegRevLex(h.ring.arity))
+    order = DegRevLex(f.ring.arity)
+    if not (f and g) or f.is_constant() or g.is_constant():
+        h = _gcd(f, g)
+        return h.monic(order) if h else h
+    h = _heuristic_gcd(*(dict(zip(p.terms, over_lcm(p.terms.values())[0])) for p in (f, g)))
+    if h is None:
+        return _gcd(f, g).monic(order)
+    lc = h[order.max_term(h)]
+    return Polynomial(f.ring, {t: Fraction(x, lc) for t, x in h.items()})
 
 
 def polynomial_lcm(f: Polynomial, g: Polynomial) -> Polynomial:

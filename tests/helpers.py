@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 dimension oracle enumerates every variable subset, the membership
-oracle solves a bounded-degree linear system for the cofactors, and the
-division oracle divides on exponent tuples instead of packed terms.
+oracle solves a bounded-degree linear system for the cofactors, the
+division oracle divides on exponent tuples instead of packed terms, and
+the pair-queue oracle forms its lcms on exponent tuples.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from slicegb.poly import Polynomial
 from slicegb.orders import TermOrder
-from slicegb.rings import PowerProduct, Ring, pp_div, pp_mul
+from slicegb.rings import PowerProduct, Ring, pp_degree, pp_div, pp_lcm, pp_mul
 
 
 def all_power_products(n: int, max_degree: int) -> List[PowerProduct]:
@@ -57,6 +58,66 @@ def nonzero_polynomials(ring: Ring, max_degree: int = 4, max_terms: int = 6, coe
 
 
 # -- independent oracles ---------------------------------------------
+
+
+def pp_coprime(s: PowerProduct, t: PowerProduct) -> bool:
+    return all(a == 0 or b == 0 for a, b in zip(s, t))
+
+
+def top_by_fields(pk, terms: Sequence[int]) -> int:
+    """The field-wise largest of packed terms, one field at a time."""
+    limit = pk.limit
+    return sum(max([(u >> k) & limit for u in terms], default=0) << k for k in pk.shifts)
+
+
+class ReferencePairs:
+    """The Buchberger pair queue with its lcms, coprimality and degrees
+    taken on exponent tuples: the same sugar strategy and Gebauer-Moeller
+    update as ``slicegb.groebner._Pairs``, which must form the same pairs
+    in the same order."""
+
+    def __init__(self, pk):
+        self.pk = pk
+        self.lts: List[int] = []
+        self.exps: List[PowerProduct] = []
+        self.surplus: List[int] = []
+        self.active: List[int] = []
+        self.queue: List[tuple] = []
+
+    def add(self, lt: int, sugar: int) -> None:
+        pk, divisible = self.pk, self.pk.exp_guards
+        h = len(self.lts)
+        t = pk.unpack(lt)
+        surplus = sugar - pp_degree(t)
+        lcms = [pp_lcm(s, t) for s in self.exps]
+        packed = [pk.pack(l) for l in lcms]
+        self.queue = [
+            pair for pair in self.queue
+            if (pair[1] - lt) & divisible or pair[1] in (packed[pair[2]], packed[pair[3]])
+        ]
+        heapq.heapify(self.queue)
+        classes: Dict[int, List[int]] = {}
+        for i in self.active:
+            classes.setdefault(packed[i], []).append(i)
+        for l, members in classes.items():
+            if any(m != l and not (l - m) & divisible for m in classes):
+                continue
+            if any(pp_coprime(self.exps[i], t) for i in members):
+                continue
+            i = members[0]
+            pair_sugar = pp_degree(lcms[i]) + max(self.surplus[i], surplus)
+            heapq.heappush(self.queue, (pair_sugar, l, i, h))
+        self.active = [i for i in self.active if (self.lts[i] - lt) & divisible]
+        self.active.append(h)
+        self.lts.append(lt)
+        self.exps.append(t)
+        self.surplus.append(surplus)
+
+    def __iter__(self):
+        while self.queue:
+            sugar, l, i, j = heapq.heappop(self.queue)
+            yield i, j, l, sugar
+
 
 
 def dimension_by_subset_search(n: int, generators: Sequence[PowerProduct]) -> int:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ReferencePairs,
     all_power_products,
     dimension_by_subset_search,
     fractions,
@@ -14,6 +15,8 @@ from helpers import (
     nonzero_polynomials,
     normal_form_reference,
     polynomials,
+    pp_coprime,
+    top_by_fields,
 )
 from slicegb.groebner import (
     GroebnerBasis,
@@ -41,7 +44,7 @@ from slicegb.orders import DegLex, DegRevLex, Elim, Lex, PivotDegRev
 from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial
 from slicegb.ratfunc import RationalFunction
-from slicegb.rings import pp_coprime, pp_degree, pp_divides, pp_lcm, ring
+from slicegb.rings import pp_degree, pp_divides, pp_lcm, ring
 
 R2 = ring("x", "y")
 R3 = ring("x", "y", "z")
@@ -169,12 +172,14 @@ def test_spolynomials_reduce_to_zero(gens):
         assert_groebner_by_reference(order, buchberger(order, gens))
 
 
-def recorded_pairs(order, gens):
-    """``buchberger(order, gens)`` and its pair queue, which keeps the
-    pairs it yields as ``yielded``."""
+def recorded_pairs(order, gens, queue=None):
+    """``buchberger(order, gens)`` with the pair queue class ``queue``
+    (by default the library's), and the queue of the last packing
+    width, the one that held; it keeps the pairs it yields as
+    ``yielded``."""
     queues = []
 
-    class Recording(groebner._Pairs):
+    class Recording(queue or groebner._Pairs):
         def __init__(self, pk):
             super().__init__(pk)
             self.yielded = []
@@ -187,7 +192,7 @@ def recorded_pairs(order, gens):
 
     with mock.patch.object(groebner, "_Pairs", Recording):
         basis = buchberger(order, gens)
-    return basis, queues[-1]  # the last packing width is the one that held
+    return basis, queues[-1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -224,6 +229,61 @@ def test_cyclic4_lex_unchanged_by_the_pair_strategy():
         "b^2 +2*b*d +d^2",
         "a +b +c +d",
     ]
+
+
+def assert_pairs_match_the_reference(order, gens):
+    """The library's pair queue forms the pairs of ``ReferencePairs``,
+    which takes lcms, coprimality and degrees on exponent tuples, in the
+    same order, and Buchberger stores the same elements."""
+    basis, pairs = recorded_pairs(order, gens)
+    expected, reference = recorded_pairs(order, gens, ReferencePairs)
+    assert basis == expected
+    assert repr(basis) == repr(expected)
+
+    def unpacked(queue):
+        return [(i, j, queue.pk.unpack(l), sugar) for i, j, l, sugar in queue.yielded]
+
+    assert unpacked(pairs) == unpacked(reference)
+    assert (pairs.exps, pairs.surplus, pairs.active) == (reference.exps, reference.surplus, reference.active)
+
+
+@pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
+@settings(max_examples=10, deadline=None)
+@given(small_ideals(R3))
+# x is coprime to y, so the lcm x*y makes no pair, yet it still rules
+# out its multiple x*y*z, the lcm of x with the second generator
+@example(gens=[p("y +1"), p("x*y*z +1"), p("x +1")])
+def test_pair_queue_matches_the_reference(order, gens):
+    assert_pairs_match_the_reference(order, gens)
+
+
+def test_pair_queue_matches_the_reference_past_the_first_width(widths):
+    # an lcm of two stored leading terms overflows the degree field of
+    # the first packing, and the call reruns wider
+    r = ring("x", "y", "z", "t")
+    gens = [p(g, r) for g in ["x^17 - y*z^15*t", "x*y^15 - z^16", "x^16*z - y^16*t"]]
+    assert_pairs_match_the_reference(DegRevLex(4), gens)
+    assert len(set(widths)) > 1
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 85)] * 3), max_size=12))
+def test_top_is_the_field_wise_largest_term(bits, exps):
+    # degrees up to 255 fill the widest field of the 8-bit packing
+    for order in ORDERS3:
+        pk = groebner._Packing(order, bits)
+        terms = [pk.pack(t) for t in exps]
+        for part in (terms, terms[:1], []):
+            assert pk.top(part) == top_by_fields(pk, part)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 85)] * 3), min_size=1, max_size=12))
+def test_degree_is_the_largest_total_degree(exps):
+    for order in ORDERS3:
+        pk = groebner._Packing(order, 8)
+        assert pk.degree([pk.pack(t) for t in exps]) == max(map(pp_degree, exps))
 
 
 @settings(max_examples=25, deadline=None)
@@ -309,14 +369,41 @@ def parameter_fractions():
 FIELDS = {"Q": fractions(), "Q(a,b)": parameter_fractions()}
 
 
+def over_ab(*terms):
+    """A polynomial over Q(a, b) in x, y, z from ``(numerator,
+    denominator, monomial)`` strings."""
+    return Polynomial(R3, {
+        p(mono).leading_power_product(O3): RationalFunction(p(num, PARAMS), p(den, PARAMS))
+        for num, den, mono in terms
+    })
+
+
+def normal_form_inputs(coeffs):
+    return st.tuples(
+        polynomials(R3, max_degree=4, max_terms=5, coeffs=coeffs),
+        st.lists(polynomials(R3, max_degree=2, max_terms=3, coeffs=coeffs), max_size=3),
+    )
+
+
+# under elim(0) this draw ran for minutes while the polynomial gcd was
+# the primitive remainder sequence
+SLOW_NORMAL_FORM = (
+    over_ab(("-(35/19*b +13/19)", "a", "x^3*y"), ("-(2/3*a -2/3)", "b -14/9", "x^2*y*z"),
+            ("9", "1", "y^3*z"), ("-4/9", "1", "x*y"), ("-13/15", "a +4/15*b", "x*z")),
+    [over_ab(("-(5/9*a -17/18*b)", "b", "z^2"), ("-(8/7*a +25/21)", "a +13/14", "z")),
+     over_ab(("-(28/29*b -92/87)", "a +22/29", "z^2"), ("-(44/27*b -52/27)", "a +14/9*b", "x"),
+             ("19*a +8/3", "b +28", "1")),
+     over_ab(("8/11*b -15/22", "a", "x*y"))],
+)
+
+
 @pytest.mark.parametrize("field", FIELDS)
 @pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
 @settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_normal_form_matches_the_reference(order, field, data):
-    coeffs = FIELDS[field]
-    f = data.draw(polynomials(R3, max_degree=4, max_terms=5, coeffs=coeffs))
-    reducers = data.draw(st.lists(polynomials(R3, max_degree=2, max_terms=3, coeffs=coeffs), max_size=3))
+@given(inputs=st.fixed_dictionaries({field: normal_form_inputs(c) for field, c in FIELDS.items()}))
+@example(inputs={"Q": (Polynomial.zero(R3), []), "Q(a,b)": SLOW_NORMAL_FORM})
+def test_normal_form_matches_the_reference(order, field, inputs):
+    f, reducers = inputs[field]
     got, expected = normal_form(order, f, reducers), normal_form_reference(order, f, reducers)
     assert got == expected and repr(got) == repr(expected)
 
@@ -326,6 +413,39 @@ def parameter_ideals():
         nonzero_polynomials(R3, max_degree=2, max_terms=3, coeffs=parameter_fractions()),
         min_size=1, max_size=2,
     )
+
+
+@pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)
+@settings(max_examples=5, deadline=None)
+@given(parameter_ideals())
+def test_pair_queue_matches_the_reference_over_parameters(order, gens):
+    assert_pairs_match_the_reference(order, gens)
+
+
+# three generators whose reduced basis took seconds to turn into
+# fractions while the polynomial gcd was the primitive remainder
+# sequence; the basis below is that run's output
+SLOW_FRACTIONS = [
+    over_ab(("7/4*a", "b", "y^2"), ("1/2*b", "a -3*b", "y"), ("-4/3", "1", "z")),
+    over_ab(("1", "1", "y^2"), ("-(3/2*a -2*b)", "1", "x*z"), ("-1/2*b", "a", "y*z")),
+    over_ab(("-2*a", "1", "x*y"), ("1/9", "b", "y"), ("-(3/4*a -7/8)", "b +5/4", "1")),
+]
+SLOW_FRACTIONS_BASIS = [
+    '-(9/16*a*b^3 -3/4*b^4)/(a*b^2 -3*b^3 -7/64*a^2 +91/192*a*b -7/16*b^2)*x +y -1/2*b^3/(a*b^2 -7/64*a^2 +7/48*a*b)*z +(189/256*a^2*b -63/64*a*b^2 -441/512*a*b +147/128*b^2)/(b^3 -7/64*a*b +67/48*b^2 -35/256*a +35/192*b)',
+    'x^2 -(21/16*a^3*b^2 -63/16*a^2*b^3 +63/256*a*b^4 -147/1024*a^4 +637/1024*a^3*b -539/256*a^2*b^2 +147/32*a*b^3 -1067/4608*b^4 +343/2048*a^3 -4459/6144*a^2*b +3059/4608*a*b^2 +67/864*b^3 -35/4608*a*b +35/3456*b^2)/(a*b^5 -7/64*a^2*b^3 +67/48*a*b^4 -35/256*a^2*b^2 +35/192*a*b^3)*x -(7/32*a^2*b^2 -21/32*a*b^3 -49/192*a*b^2 +49/64*b^3)/(a^3*b^3 -4/3*a^2*b^4 -7/64*a^4*b +37/24*a^3*b^2 -67/36*a^2*b^3 -35/256*a^4 +35/96*a^3*b -35/144*a^2*b^2)*z +(1323/4096*a^5*b -5733/4096*a^4*b^2 +6017/3072*a^3*b^3 -2*a^2*b^4 -1/8*a*b^5 -10157/12288*a^4*b +162761/36864*a^3*b^2 -60553/9216*a^2*b^3 +829/384*a*b^4 +7/48*b^5 -35/384*a^4 +135611/147456*a^3*b -1589623/442368*a^2*b^2 +183463/36864*a*b^3 +469/2304*b^4 +245/2304*a^3 -3185/6912*a^2*b +14945/36864*a*b^2 +245/9216*b^3)/(a^3*b^5 -4/3*a^2*b^6 -7/64*a^4*b^3 +67/24*a^3*b^4 -127/36*a^2*b^5 -35/128*a^4*b^2 +55/24*a^3*b^3 -185/72*a^2*b^4 -175/1024*a^4*b +175/384*a^3*b^2 -175/576*a^2*b^3)',
+    'x*z +(567/2048*a^2*b^2 -189/512*a*b^3 -1323/4096*a*b^2 +441/1024*b^3)/(a*b^3 -3*b^4 -7/64*a^2*b +331/192*a*b^2 -67/16*b^3 -35/256*a^2 +455/768*a*b -35/64*b^2)*x +(63/256*a*b^3 -1579/4608*b^3 +7/1152*a*b -67/864*b^2 +35/4608*a -35/3456*b)/(a*b^4 -7/64*a^2*b^2 +67/48*a*b^3 -35/256*a^2*b +35/192*a*b^2)*z -(11907/32768*a^5 -51597/32768*a^4*b +11907/8192*a^3*b^2 -9/64*a*b^4 -27783/32768*a^4 +120393/32768*a^3*b -27657/8192*a^2*b^2 -201/1024*a*b^3 +21/128*b^4 +64827/131072*a^3 -278397/131072*a^2*b +63399/32768*a*b^2 +469/2048*b^3 -735/32768*a*b +245/8192*b^2)/(a^2*b^4 -3*a*b^5 -7/64*a^3*b^2 +571/192*a^2*b^3 -127/16*a*b^4 -35/128*a^3*b +1055/384*a^2*b^2 -185/32*a*b^3 -175/1024*a^3 +2275/3072*a^2*b -175/256*a*b^2)',
+    'z^2 -(1701/1024*a^6*b^2 -9639/1024*a^5*b^3 +271215/16384*a^4*b^4 -19845/2048*a^3*b^5 -639/7168*a^2*b^6 +6/7*a*b^7 -11907/65536*a^7 +83349/65536*a^6*b -83349/16384*a^5*b^2 +58653/4096*a^4*b^3 -672867/32768*a^3*b^4 +295719/28672*a^2*b^5 +7891/14336*a*b^6 +27783/131072*a^6 -194481/131072*a^5*b +120393/32768*a^4*b^2 -31179/8192*a^3*b^3 +2607/2048*a^2*b^4 +5/32*a*b^5)/(a^2*b^5 -6*a*b^6 +9*b^7 -7/64*a^3*b^3 +197/96*a^2*b^4 -599/64*a*b^5 +201/16*b^6 -35/256*a^3*b^2 +385/384*a^2*b^3 -595/256*a*b^4 +105/64*b^5)*x -(189/64*a^4*b^5 -819/64*a^3*b^6 +651011/43008*a^2*b^7 -34091/3584*a*b^8 -4/7*b^9 -1323/4096*a^5*b^3 +7497/4096*a^4*b^4 -3893/512*a^3*b^5 +44433/1792*a^2*b^6 -846765/28672*a*b^7 -2033/7168*b^8 +3983/8192*a^4*b^3 -98431/24576*a^3*b^4 +23449/2304*a^2*b^5 -3897/512*a*b^6 +7/576*b^7 -49/12288*a^5*b +2023/12288*a^4*b^2 -7777/9216*a^3*b^3 +470659/331776*a^2*b^4 -10787/13824*a*b^5 +35/2304*b^6 -245/49152*a^5 +1715/49152*a^4*b -3185/36864*a^3*b^2 +7595/82944*a^2*b^3 -245/6912*a*b^4)/(a*b^8 -3*b^9 -7/64*a^2*b^6 +331/192*a*b^7 -67/16*b^8 -35/256*a^2*b^5 +455/768*a*b^6 -35/64*b^7)*z +(35721/16384*a^8*b^2 -154791/8192*a^7*b^3 +15411627/262144*a^6*b^4 -20420505/262144*a^5*b^5 +1218753/32768*a^4*b^6 +84087/16384*a^3*b^7 -3537/512*a^2*b^8 +27/128*a*b^9 -250047/1048576*a^9 +1250235/524288*a^8*b -14919471/1048576*a^7*b^2 +15956703/262144*a^6*b^3 -39777507/262144*a^5*b^4 +48017205/262144*a^4*b^5 -1259739/16384*a^3*b^6 -222855/16384*a^2*b^7 +17109/2048*a*b^8 -63/256*b^9 +583443/1048576*a^8 -2917215/524288*a^7*b +25466427/1048576*a^6*b^2 -16897041/262144*a^5*b^3 +117632403/1048576*a^4*b^4 -115360105/1048576*a^3*b^5 +4863243/131072*a^2*b^6 +584703/65536*a*b^7 -1407/4096*b^8 -1361367/4194304*a^7 +6780375/2097152*a^6*b -51765903/4194304*a^5*b^2 +23210859/1048576*a^4*b^3 -4580177/262144*a^3*b^4 +2080295/786432*a^2*b^5 +75509/32768*a*b^6 -735/16384*b^7 +15435/1048576*a^5*b -108045/1048576*a^4*b^2 +66885/262144*a^3*b^3 -53165/196608*a^2*b^4 +1715/16384*a*b^5)/(a^2*b^8 -6*a*b^9 +9*b^10 -7/64*a^3*b^6 +317/96*a^2*b^7 -1079/64*a*b^8 +381/16*b^9 -35/128*a^3*b^5 +685/192*a^2*b^6 -1795/128*a*b^7 +555/32*b^8 -175/1024*a^3*b^4 +1925/1536*a^2*b^5 -2975/1024*a*b^6 +525/256*b^7)',
+]
+
+
+def test_basis_over_parameters_with_large_fractions():
+    assert list(map(repr, SLOW_FRACTIONS)) == [
+        "7/4*a/(b)*y^2 +1/2*b/(a -3*b)*y -4/3*z",
+        "y^2 -(3/2*a -2*b)*x*z -1/2*b/(a)*y*z",
+        "-2*a*x*y +1/9/(b)*y -(3/4*a -7/8)/(b +5/4)",
+    ]
+    gb = groebner_basis(PivotDegRev(3, 0), SLOW_FRACTIONS)
+    assert list(map(repr, gb)) == SLOW_FRACTIONS_BASIS
 
 
 @pytest.mark.parametrize("order", ORDERS3, ids=lambda o: o.name)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import nonzero_polynomials, polynomials
+from helpers import fractions, nonzero_polynomials, polynomials
+from slicegb import ratfunc
 from slicegb.groebner import exact_divide, groebner_basis, normal_form
 from slicegb.orders import DegRevLex
 from slicegb.parsing import parse_polynomial
@@ -69,6 +71,37 @@ def test_gcd_divides_and_collects_common_factors(f, g, h):
         assert q * d == target
     q = exact_divide(d, polynomial_gcd(d, h))
     assert q * polynomial_gcd(d, h) == d
+
+
+def remainder_sequence_gcd(f, g):
+    """The gcd by the primitive remainder sequence alone, made monic."""
+    h = ratfunc._gcd(f, g)
+    return h.monic(DegRevLex(h.ring.arity)) if h else h
+
+
+def gcd_inputs(r):
+    """Products ``a*c`` and ``b*c``, some with large coefficients, and
+    the factors themselves, which may be zero or constant."""
+    small = polynomials(r, max_degree=3, max_terms=3)
+    large = polynomials(r, max_degree=2, max_terms=3, coeffs=fractions(10**6, 10**3))
+    return st.tuples(small | large, small, small)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ring("a", "b"), A]).flatmap(gcd_inputs))
+def test_gcd_matches_the_remainder_sequence(factors):
+    a, b, c = factors
+    for f, g in [(a * c, b * c), (a, c), (c, a * c)]:
+        got, expected = polynomial_gcd(f, g), remainder_sequence_gcd(f, g)
+        assert got == expected and repr(got) == repr(expected)
+
+
+def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    # no candidate divides: all six evaluation points fail at every level
+    monkeypatch.setattr(ratfunc, "_divides", lambda h, a: False)
+    f, g, h = p("a +b"), p("a -b"), p("a*c +1")
+    assert polynomial_gcd(f * h, g * h) == h
+    assert repr(polynomial_gcd(p("2*a^2*b +2*a*b^2"), p("4*a*b"))) == "a*b"
 
 
 # -- construction and normal form ------------------------------------
