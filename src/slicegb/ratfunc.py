@@ -10,15 +10,16 @@ they clear denominators and pseudo-divide on the parameter
 polynomials, with :func:`polynomial_gcd` keeping them small, and build
 one fraction per coefficient at the end.
 
-The gcd underneath works on the integer numerators of its inputs.  It
-first tries the heuristic gcd GCDHEU of B. W. Char, K. O. Geddes and
-G. H. Gonnet (J. Symbolic Comput. 7, 1989): evaluate the last variable
-at an integer, take the gcd of the images one variable down, and lift
-it back digit by digit.  A candidate counts only when exact division
-shows that it divides both inputs.  After six failed evaluation points
-the gcd falls back to the primitive remainder sequence, recursing on
-the coefficients of the chosen main variable.  The monic gcd is unique,
-so both give the same result.
+Where an input is a constant or a monomial, the gcd is read off the
+exponents.  Otherwise it works on the integer numerators of the inputs
+and first tries the heuristic gcd GCDHEU of B. W. Char, K. O. Geddes
+and G. H. Gonnet (J. Symbolic Comput. 7, 1989): set the last variable
+that occurs to an integer, take the gcd of the images one variable
+down, and lift it back digit by digit.  A candidate counts only when
+exact division shows that it divides both inputs.  After six failed
+evaluation points the gcd falls back to the primitive remainder
+sequence, recursing on the coefficients of the chosen main variable.
+The monic gcd is unique, so both give the same result.
 """
 
 import math
@@ -200,9 +201,15 @@ def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """The monic greatest common divisor; zero only when both inputs are."""
     order = DegRevLex(f.ring.arity)
-    if not (f and g) or f.is_constant() or g.is_constant():
-        h = _gcd(f, g)
+    if not (f and g):
+        h = f or g
         return h.monic(order) if h else h
+    if f.is_constant() or g.is_constant():
+        return Polynomial.constant(f.ring, 1)
+    if len(f.terms) == 1 or len(g.terms) == 1:
+        # a monomial's divisors are monomials: each variable to its
+        # smallest exponent in either input
+        return Polynomial.monomial(f.ring, tuple(map(min, *f.terms, *g.terms)))
     h = _heuristic_gcd(*(dict(zip(p.terms, over_lcm(p.terms.values())[0])) for p in (f, g)))
     if h is None:
         return _gcd(f, g).monic(order)
