@@ -210,7 +210,8 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         # a monomial's divisors are monomials: each variable to its
         # smallest exponent in either input
         return Polynomial.monomial(f.ring, tuple(map(min, *f.terms, *g.terms)))
-    h = _heuristic_gcd(*(dict(zip(p.terms, over_lcm(p.terms.values())[0])) for p in (f, g)))
+    a, b = (dict(zip(p.terms, over_lcm(p.terms.values())[0])) for p in (f, g))
+    h = _heuristic_gcd(a, b)
     if h is None:
         return _gcd(f, g).monic(order)
     lc = h[order.max_term(h)]
