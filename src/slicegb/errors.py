@@ -56,10 +56,6 @@ class DenominatorVanishes(SliceGBError):
 class DependentParameters(SliceGBError):
     """The parameters satisfy a nontrivial algebraic relation."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NotLinearInParams(SliceGBError):
     """A generator has degree above 1 in the parameters."""

@@ -145,18 +145,14 @@ def basis_denominator(params: Ring, basis: GroebnerBasis) -> Polynomial:
     return reduce(polynomial_lcm, dens, Polynomial.constant(params, 1))
 
 
-def nonconstant_coefficients(
-    basis: GroebnerBasis, order: TermOrder = None
-) -> List[RationalFunction]:
+def nonconstant_coefficients(basis: GroebnerBasis) -> List[RationalFunction]:
     """Every coefficient that is not a plain rational number, walking
     elements by ascending leading term and each support from the top
-    down.  Repeats are kept; the list is what the fibers are classified
-    by, not a set of values."""
-    if order is None:
-        order = basis.order
+    down in the basis's ordering.  Repeats are kept; the list is what
+    the fibers are classified by, not a set of values."""
     out: List[RationalFunction] = []
     for g in basis:
-        for t in g.support(order):
+        for t in g.support(basis.order):
             c = g.terms[t]
             if not _is_scalar(c):
                 out.append(c)

@@ -524,24 +524,33 @@ class _Pairs:
         self.queue: List[tuple] = []
 
     def add(self, lt: int, sugar: int) -> None:
-        pk, divisible, units = self.pk, self.pk.exp_guards, self.pk.units
+        pk, divisible, units, guards = self.pk, self.pk.exp_guards, self.pk.units, self.pk.guards
         h = len(self.lts)
         t = pk.unpack(lt)
         surplus = sugar - sum(t)
-        mul = operator.mul
-        lcms = [sum(map(mul, units, map(max, s, t))) for s in self.exps]
-        # a field of an lcm is at most the sum of two fields, so an
-        # overflow shows as a set guard bit
-        if reduce(operator.or_, lcms, 0) & pk.guards:
-            raise _WidthExceeded
+        mul, exps = operator.mul, self.exps
+        lcms: Dict[int, int] = {}
+
+        def lcm(i: int) -> int:
+            """The lcm of ``lt`` with element ``i``, formed once, when
+            the update first reads it."""
+            l = lcms.get(i)
+            if l is None:
+                l = lcms[i] = sum(map(mul, units, map(max, exps[i], t)))
+                # a field of an lcm is at most the sum of two fields, so
+                # an overflow shows as a set guard bit
+                if l & guards:
+                    raise _WidthExceeded
+            return l
+
         self.queue = [
             pair for pair in self.queue
-            if (pair[1] - lt) & divisible or pair[1] in (lcms[pair[2]], lcms[pair[3]])
+            if (pair[1] - lt) & divisible or pair[1] in (lcm(pair[2]), lcm(pair[3]))
         ]
         heapq.heapify(self.queue)
         classes: Dict[int, List[int]] = {}
         for i in self.active:
-            classes.setdefault(lcms[i], []).append(i)
+            classes.setdefault(lcm(i), []).append(i)
         # a proper divisor is smaller, and divisibility is transitive:
         # each lcm is checked against the smaller minimal ones
         minimal: List[int] = []

@@ -6,28 +6,28 @@ ordinary polynomials over Q; the parametric layer reuses this class with
 rational-function coefficients, so arithmetic here only assumes field
 operations and truthiness (nonzero) on the coefficient objects.
 
-Substitution and composition over Q run on a private integer kernel
-instead: each polynomial becomes integer numerators over the lcm of its
-denominators, products are taken on int dicts, and each coefficient of
-the result becomes a ``Fraction`` once, at the end.  ``Fraction``
-arithmetic would pay a gcd on every product and sum.  ``over_lcm``
-clears denominators for the whole package.
+Substitution, composition and exact division over Q run on a private
+integer kernel instead: each polynomial becomes integer numerators over
+the lcm of its denominators, products and quotients are taken on int
+dicts, and each coefficient of the result becomes a ``Fraction`` once,
+at the end.  ``Fraction`` arithmetic would pay a gcd on every product
+and sum.  ``over_lcm`` clears denominators for the whole package, and
+one integer quotient, ``_int_quotient``, serves both ``exact_divide``
+and the trial division of the gcd in ``ratfunc``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
-from operator import add
-from typing import Collection, Dict, Iterable, List, Tuple
+from operator import add, sub
+from typing import Collection, Dict, Iterable, List, Optional, Tuple
 
 from .orders import DegRevLex, TermOrder
 from .rings import (
     PowerProduct,
     Ring,
     pp_degree,
-    pp_div,
     pp_drop,
     pp_insert,
     pp_mul,
@@ -68,12 +68,8 @@ class Polynomial:
         return cls(ring, {t: Fraction(1)})
 
     @classmethod
-    def monomial(cls, ring: Ring, t: PowerProduct, c=Fraction(1)) -> "Polynomial":
-        if isinstance(c, int):
-            c = Fraction(c)
-        if not c:
-            return cls(ring, {})
-        return cls(ring, {t: c})
+    def monomial(cls, ring: Ring, t: PowerProduct) -> "Polynomial":
+        return cls(ring, {t: Fraction(1)})
 
     # -- structure ---------------------------------------------------
 
@@ -307,14 +303,13 @@ class Polynomial:
         """Move into the ring with ``name`` inserted at position ``i``."""
         return Polynomial(self.ring.insert(i, name), {pp_insert(t, i, 0): c for t, c in self.terms.items()})
 
-    def map_coefficients(self, func, ring: Ring = None) -> "Polynomial":
-        target = ring if ring is not None else self.ring
+    def map_coefficients(self, func) -> "Polynomial":
         terms = {}
         for t, c in self.terms.items():
             v = func(c)
             if v:
                 terms[t] = v
-        return Polynomial(target, terms)
+        return Polynomial(self.ring, terms)
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial
@@ -363,66 +358,27 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
     return _from_numerators(target, terms, den)
 
 
-# -- exact division --------------------------------------------------
-#
-# ``exact_divide`` works on exponent tuples, not on the packed terms of
-# the division kernel in ``groebner``.  Most of its calls come from the
-# polynomial gcd of ``ratfunc`` and divide tiny polynomials, often a
-# monomial by a monomial, where building a packing per call costs
-# several times the division itself.
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The quotient f/g over Q; raises ``ValueError`` when g does not
+    divide f.
 
-
-class _TopTerm:
-    """Max-heap adapter: heapq pops the entry with the largest key."""
-
-    __slots__ = ("key", "term")
-
-    def __init__(self, key, term: PowerProduct):
-        self.key = key
-        self.term = term
-
-    def __lt__(self, other: "_TopTerm") -> bool:
-        return self.key > other.key
-
-
-def exact_divide(f: Polynomial, g: Polynomial, order: TermOrder = None) -> Polynomial:
-    """The quotient f/g; raises when g does not divide f."""
+    Over Q only: every coefficient of ``f`` and ``g`` must be a
+    ``Fraction``, or ``TypeError`` is raised.  The quotient is taken on
+    the integer kernel, of the numerators of ``f`` by the primitive part
+    of ``g``; by Gauss's lemma a primitive integer polynomial that
+    divides over Q divides over Z."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
-    if order is None:
-        order = DegRevLex(f.ring.arity)
-    lc, lt = g.leading_term(order)
-    work = dict(f.terms)
-    quotient: Dict[PowerProduct, object] = {}
-    key = order.key
-    heap = [_TopTerm(key(t), t) for t in work]
-    heapq.heapify(heap)
-    while heap:
-        t = heapq.heappop(heap).term
-        if t not in work:
-            continue
-        q = pp_div(t, lt)
-        if q is None:
-            raise ValueError("not an exact division")
-        factor = work.pop(t) / lc
-        quotient[q] = factor
-        for s, cg in g.terms.items():
-            if s == lt:
-                continue
-            u = pp_mul(s, q)
-            cur = work.get(u)
-            if cur is None:
-                value = -(factor * cg)
-                if value:
-                    work[u] = value
-                    heapq.heappush(heap, _TopTerm(key(u), u))
-            else:
-                value = cur - factor * cg
-                if value:
-                    work[u] = value
-                else:
-                    del work[u]
-    return Polynomial(f.ring, quotient)
+    if not (_over_q(f) and _over_q(g)):
+        raise TypeError("exact_divide works over Q: every coefficient must be a Fraction")
+    nums, den = over_lcm(f.terms.values())
+    g_nums, g_den = over_lcm(g.terms.values())
+    content = math.gcd(*g_nums)
+    q = _int_quotient(dict(zip(f.terms, nums)), {t: c // content for t, c in zip(g.terms, g_nums)})
+    if q is None:
+        raise ValueError("not an exact division")
+    # f = F / den and g = content * G / g_den
+    return _from_numerators(f.ring, {t: c * g_den for t, c in q.items()}, den * content)
 
 
 # -- the integer kernel over Q ---------------------------------------
@@ -448,6 +404,35 @@ def _int_mul(a: Dict[PowerProduct, int], b: Dict[PowerProduct, int]) -> Dict[Pow
             u = tuple(map(add, s, t))
             out[u] = get(u, 0) + c * d
     return {u: c for u, c in out.items() if c}
+
+
+def _int_quotient(a: Dict[PowerProduct, int], h: Dict[PowerProduct, int]) -> Optional[Dict[PowerProduct, int]]:
+    """The quotient ``a / h`` of two polynomials with int coefficients
+    over Z, by division under lex, or None when ``h`` does not divide
+    ``a`` there.  The one exact division of the package: ``exact_divide``
+    and the gcd's trial division both run on it."""
+    lt = max(h)
+    lc = h[lt]
+    tail = [(t, x) for t, x in h.items() if t != lt]
+    work = dict(a)
+    out: Dict[PowerProduct, int] = {}
+    while work:
+        t = max(work)
+        q = tuple(map(sub, t, lt))
+        if min(q, default=0) < 0:
+            return None
+        x, r = divmod(work.pop(t), lc)
+        if r:
+            return None
+        out[q] = x
+        for s, y in tail:
+            u = tuple(map(add, s, q))
+            value = work.get(u, 0) - x * y
+            if value:
+                work[u] = value
+            else:
+                work.pop(u, None)
+    return out
 
 
 def _from_numerators(ring: Ring, terms: Dict[PowerProduct, int], den: int) -> Polynomial:

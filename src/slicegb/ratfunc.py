@@ -16,7 +16,8 @@ and first tries the heuristic gcd GCDHEU of B. W. Char, K. O. Geddes
 and G. H. Gonnet (J. Symbolic Comput. 7, 1989): set the last variable
 that occurs to an integer, take the gcd of the images one variable
 down, and lift it back digit by digit.  A candidate counts only when
-exact division shows that it divides both inputs.  After six failed
+it divides both inputs over Z, by the same integer quotient,
+``poly._int_quotient``, that ``exact_divide`` runs on.  After six failed
 evaluation points the gcd falls back to the primitive remainder
 sequence, recursing on the coefficients of the chosen main variable.
 The monic gcd is unique, so both give the same result.
@@ -24,11 +25,10 @@ The monic gcd is unique, so both give the same result.
 
 import math
 from fractions import Fraction
-from operator import add, sub
 from typing import Dict, Optional
 
 from .orders import DegRevLex
-from .poly import Polynomial, PowerProduct, exact_divide, over_lcm
+from .poly import Polynomial, PowerProduct, _int_quotient, exact_divide, over_lcm
 from .rings import Ring
 
 
@@ -70,30 +70,6 @@ def _lift(g: _IntPoly, v: int, xi: int) -> _IntPoly:
     return out
 
 
-def _divides(h: _IntPoly, a: _IntPoly) -> bool:
-    """Whether ``h`` divides ``a`` exactly over Z, by division under lex."""
-    lt = max(h)
-    lc = h[lt]
-    tail = [(t, x) for t, x in h.items() if t != lt]
-    work = dict(a)
-    while work:
-        t = max(work)
-        q = tuple(map(sub, t, lt))
-        if min(q) < 0:
-            return False
-        x, r = divmod(work.pop(t), lc)
-        if r:
-            return False
-        for s, y in tail:
-            u = tuple(map(add, s, q))
-            value = work.get(u, 0) - x * y
-            if value:
-                work[u] = value
-            else:
-                work.pop(u, None)
-    return True
-
-
 def _heuristic_gcd(a: _IntPoly, b: _IntPoly) -> Optional[_IntPoly]:
     """A gcd over Z of two integer polynomials, content included and up
     to sign, or None when six evaluation points give no candidate."""
@@ -113,7 +89,7 @@ def _heuristic_gcd(a: _IntPoly, b: _IntPoly) -> Optional[_IntPoly]:
         g = _heuristic_gcd(_evaluate(a, v, xi), _evaluate(b, v, xi))
         if g is not None:
             _, h = _primitive(_lift(g, v, xi))
-            if _divides(h, a) and _divides(h, b):
+            if _int_quotient(a, h) is not None and _int_quotient(b, h) is not None:
                 return {t: c * x for t, x in h.items()}
         xi = xi * 73794 // 27011
     return None

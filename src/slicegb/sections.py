@@ -24,7 +24,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from .errors import (
     HypothesisViolation,
     LTDrift,
-    MembershipFailed,
     NonGenericSlices,
     NonPrincipal,
     RetryLimitExceeded,
@@ -440,42 +439,18 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     return lifted
 
 
-class BasisMembership:
-    """Check membership against a known basis of the target ideal."""
-
-    def __init__(self, basis: GroebnerBasis):
-        self.basis = basis
-
-    def accepts(self, g: Polynomial) -> bool:
-        return is_member(g, self.basis)
-
-
-class MapMembership:
-    """Accept polynomials that vanish under a substitution map, e.g. a
-    parametrization of the variety being rebuilt."""
-
-    def __init__(self, images: Sequence[Polynomial], target: Ring):
-        self.images = list(images)
-        self.target = target
-
-    def accepts(self, g: Polynomial) -> bool:
-        return not compose(g, self.images, self.target)
-
-
 def reconstruct_basis(
     family: SliceFamily,
     slice_bases: Sequence[Sequence[Polynomial]],
     order: TermOrder,
-    membership=None,
 ) -> GroebnerBasis:
     """Rebuild a basis upstairs from reduced bases of parallel slices.
 
     Slice bases are matched up by their shared leading terms, each group
     is lifted by interpolation, and every lifted element must keep its
-    slice leading term upstairs.  A ``membership`` check, such as
-    :class:`BasisMembership` or :class:`MapMembership`, then certifies
-    that the lift lands in the intended ideal, raising MembershipFailed
-    otherwise; without one the lift is returned unchecked.
+    slice leading term upstairs.  The lift is returned unchecked: that it
+    lands in the intended ideal is the caller's to certify, for instance
+    with ``is_member`` against a basis of that ideal.
     """
     if len(slice_bases) != len(family.gammas):
         raise ValueError("one slice basis per slice constant required")
@@ -500,10 +475,6 @@ def reconstruct_basis(
                 "more slices or a different ordering needed"
             )
         lifted.append(g)
-    if membership is not None:
-        rejected = [g for g in lifted if not membership.accepts(g)]
-        if rejected:
-            raise MembershipFailed(f"{len(rejected)} lifted element(s) failed the membership check")
     lifted.sort(key=lambda g: order.key(g.leading_power_product(order)))
     return GroebnerBasis(order, tuple(lifted))
 
@@ -511,12 +482,10 @@ def reconstruct_basis(
 # -- implicitization -------------------------------------------------
 
 
-def gamma_stream(offset: Optional[int] = None) -> Iterator[Fraction]:
+def gamma_stream() -> Iterator[Fraction]:
     """Deterministic slice constants 2, -2, 3, -3, ...; the environment
     variable SLICEGB_SEED shifts the starting point."""
-    if offset is None:
-        offset = int(os.environ.get("SLICEGB_SEED", "0"))
-    k = 2 + max(0, offset)
+    k = 2 + max(0, int(os.environ.get("SLICEGB_SEED", "0")))
     while True:
         yield Fraction(k)
         yield Fraction(-k)

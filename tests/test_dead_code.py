@@ -1,6 +1,8 @@
 """Every module-level function and class in the package is used: named
 somewhere in the package outside its own body, exported in ``__all__``,
-or wrapped by the benchmark tracer through its ``TARGETS`` table."""
+or wrapped by the benchmark tracer through its ``TARGETS`` table.  And
+every optional parameter of a package function is passed by some call
+in the package."""
 
 import ast
 from pathlib import Path
@@ -77,3 +79,82 @@ def test_every_module_level_definition_is_used(module):
         if d.name not in KEPT and not REFERENCES.get(d.name, set()) - {(module, d.name)}
     ]
     assert not unused
+
+
+# Optional parameters that no package call passes, by design: tests and
+# the benchmark drive the CLI through ``main(argv)``.
+CALLED_FROM_OUTSIDE = {("cli.py", "main", "argv")}
+
+
+def functions(tree: ast.Module):
+    """``(name, class name or None, def)`` for each module-level function
+    and each method of a module-level class."""
+    for node in definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield sub.name, node.name, sub
+        else:
+            yield node.name, None, node
+
+
+def optional_parameters(owner, node):
+    """The parameters with a default, as ``(name, position)``: the index
+    among a caller's positional arguments, or None for keyword-only."""
+    args = node.args.posonlyargs + node.args.args
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+    skip = 1 if owner is not None and not static else 0  # self or cls
+    first = len(args) - len(node.args.defaults)
+    found = [(a.arg, k - skip) for k, a in enumerate(args) if k >= first]
+    found += [(a.arg, None) for a, d in zip(node.args.kwonlyargs, node.args.kw_defaults) if d is not None]
+    return found
+
+
+def callee(call: ast.Call):
+    """The called name and the arguments it gets; ``partial(f, ...)``
+    counts as a call of ``f``."""
+    func, args = call.func, call.args
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "partial" and args and isinstance(args[0], (ast.Name, ast.Attribute)):
+        return callee(ast.Call(func=args[0], args=args[1:], keywords=call.keywords))
+    return name, args, call.keywords
+
+
+def passed_options():
+    """``(class, name, parameter)`` that some call in the package passes,
+    matched by the called name; a call by class name is a call of that
+    class's ``__init__``, and ``*args`` or ``**kwargs`` pass every
+    parameter they could reach."""
+    by_name = {}
+    for tree in MODULES.values():
+        for name, owner, node in functions(tree):
+            by_name.setdefault(name, []).append((name, owner, node))
+            if name == "__init__":
+                by_name.setdefault(owner, []).append((name, owner, node))
+    passed = set()
+    for tree in MODULES.values():
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            called, args, keywords = callee(call)
+            starred = next((k for k, a in enumerate(args) if isinstance(a, ast.Starred)), None)
+            given = {kw.arg for kw in keywords}
+            for name, owner, node in by_name.get(called, []):
+                for param, position in optional_parameters(owner, node):
+                    if (param in given or None in given
+                            or position is not None and position < len(args)
+                            or starred is not None and position is not None and position >= starred):
+                        passed.add((owner, name, param))
+    return passed
+
+
+def test_every_optional_parameter_is_passed():
+    passed = passed_options()
+    unset = [
+        f"{module}: {owner + '.' if owner else ''}{name}({param}=) (line {node.lineno})"
+        for module, tree in MODULES.items()
+        for name, owner, node in functions(tree)
+        for param, _ in optional_parameters(owner, node)
+        if (owner, name, param) not in passed and (module, name, param) not in CALLED_FROM_OUTSIDE
+    ]
+    assert not unset

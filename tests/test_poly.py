@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fractions, polynomials
+from helpers import fractions, nonzero_polynomials, polynomials, power_products
 from slicegb.orders import DegRevLex, Lex
-from slicegb.poly import Polynomial, compose
+from slicegb.poly import Polynomial, compose, exact_divide
 from slicegb.ratfunc import RationalFunction
 from slicegb.rings import ring
 
@@ -174,6 +174,77 @@ def test_compose_rejects_coefficients_outside_q():
         compose(f, [over_p(g) for g in images], R2)
     with pytest.raises(TypeError, match="over Q"):
         compose(Polynomial(R3, {(1, 0, 0): 2}), images, R2)
+
+
+# -- exact division ----------------------------------------------------
+
+LARGE = fractions(max_num=10 ** 15, max_den=10 ** 12)
+
+
+def division_inputs(r):
+    """A quotient ``f`` and a divisor ``g`` in the ring ``r``: ``g`` is a
+    polynomial, a constant or a monomial, and either may carry
+    coefficients with large numerators and denominators."""
+    nonzero = LARGE.filter(bool)
+    divisors = st.one_of(
+        nonzero_polynomials(r, max_degree=2, max_terms=3),
+        nonzero_polynomials(r, max_degree=2, max_terms=3, coeffs=LARGE),
+        nonzero.map(lambda c: Polynomial.constant(r, c)),
+        st.tuples(power_products(r.arity, 3), nonzero).map(lambda tc: Polynomial(r, {tc[0]: tc[1]})),
+    )
+    quotients = polynomials(r, max_degree=3, max_terms=4) | polynomials(r, max_degree=2, max_terms=3, coeffs=LARGE)
+    return st.tuples(quotients, divisors)
+
+
+RINGS = st.sampled_from([ring("x"), R2, R3])
+
+
+@settings(max_examples=100, deadline=None)
+@given(RINGS.flatmap(division_inputs))
+def test_exact_divide_recovers_the_quotient(inputs):
+    f, g = inputs
+    q = exact_divide(f * g, g)
+    assert q == f
+    assert all(type(c) is Fraction for c in q.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(RINGS.flatmap(division_inputs), LARGE.filter(bool))
+def test_exact_divide_refuses_a_remainder(inputs, c):
+    # a nonconstant g divides f*g + c only if it divides c
+    f, g = inputs
+    if g.is_constant():
+        g = g + Polynomial.variable(g.ring, "x")
+    with pytest.raises(ValueError, match="not an exact division"):
+        exact_divide(f * g + c, g)
+
+
+def test_exact_divide_examples():
+    assert exact_divide(p("x^2 -y^2"), p("x -y")) == p("x +y")
+    # the quotient over Z of the primitive part is scaled back to Q
+    assert exact_divide(p("x +1/2"), p("6*x +3")) == p("1/6")
+    assert exact_divide(p("2/3*x*y^2"), p("-4*y")) == p("-1/6*x*y")
+    assert exact_divide(Polynomial.zero(R3), p("x +1")) == Polynomial.zero(R3)
+    # the leading term divides, a later one does not
+    with pytest.raises(ValueError):
+        exact_divide(p("x*y +1"), p("x"))
+    # the leading terms divide, the leading coefficients do not over Z
+    with pytest.raises(ValueError):
+        exact_divide(p("x"), p("2*x +3"))
+    with pytest.raises(ValueError):
+        exact_divide(p("x^2 +1"), p("x +1"))
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(p("x"), Polynomial.zero(R3))
+
+
+def test_exact_divide_rejects_coefficients_outside_q():
+    f, g = p("x^2 -1"), p("x -1")
+    with pytest.raises(TypeError, match="over Q"):
+        exact_divide(over_p(f), g)
+    with pytest.raises(TypeError, match="over Q"):
+        exact_divide(f, over_p(g))
+    with pytest.raises(TypeError, match="over Q"):
+        exact_divide(Polynomial(R3, {(2, 0, 0): 1, (0, 0, 0): -1}), g)
 
 
 @settings(max_examples=60)

@@ -13,7 +13,6 @@ from helpers import fractions, nonzero_polynomials, polynomials
 from slicegb.errors import (
     HypothesisViolation,
     LTDrift,
-    MembershipFailed,
     NonGenericSlices,
     NonPrincipal,
     RetryLimitExceeded,
@@ -26,10 +25,8 @@ from slicegb.poly import Polynomial, compose
 from slicegb import sections
 from slicegb.rings import ring
 from slicegb.sections import (
-    BasisMembership,
     HomLinearForm,
     LinearForm,
-    MapMembership,
     SliceFamily,
     common_lifting,
     gamma_stream,
@@ -490,7 +487,8 @@ def test_lemon_reconstruction_certified_against_basis():
     fam, bases = lemon_family()
     factored = p("x^2 +z^2", R3) - p("y", R3) ** 3 * p("1 -y", R3) ** 3
     target = groebner_basis(lex(R3), [factored])
-    out = reconstruct_basis(fam, bases, lex(R3), membership=BasisMembership(target))
+    out = reconstruct_basis(fam, bases, lex(R3))
+    assert all(is_member(g, target) for g in out)
     assert out.is_reduced
 
 
@@ -513,9 +511,10 @@ def test_reconstruction_membership_failure():
     fam = SliceFamily.of(R2, "y", [0, 1])
     sub = fam.sub_ring()
     target = groebner_basis(degrevlex(R2), [p("x", R2)])
-    with pytest.raises(MembershipFailed):
-        reconstruct_basis(fam, [[p("x +1", sub)], [p("x +2", sub)]], degrevlex(R2),
-                          membership=BasisMembership(target))
+    out = reconstruct_basis(fam, [[p("x +1", sub)], [p("x +2", sub)]], degrevlex(R2))
+    # the lift is returned unchecked, and it is not in the target
+    assert strings(out) == ["x +y +1"]
+    assert not is_member(out.elements[0], target)
 
 
 def test_multi_element_reconstruction():
@@ -526,17 +525,21 @@ def test_multi_element_reconstruction():
     bases = []
     for form in fam.forms():
         bases.append(list(section_basis(gb, form).elements))
-    out = reconstruct_basis(fam, bases, order, membership=BasisMembership(gb))
+    out = reconstruct_basis(fam, bases, order)
+    assert all(is_member(g, gb) for g in out)
     assert list(out.elements) == list(gb.elements)
 
 
 # -- implicitization -------------------------------------------------
 
 
-def test_gamma_stream_is_deterministic():
-    first = list(itertools.islice(gamma_stream(0), 6))
+def test_gamma_stream_is_deterministic(monkeypatch):
+    monkeypatch.delenv("SLICEGB_SEED", raising=False)
+    first = list(itertools.islice(gamma_stream(), 6))
     assert first == [Fraction(v) for v in (2, -2, 3, -3, 4, -4)]
-    shifted = list(itertools.islice(gamma_stream(2), 3))
+    assert list(itertools.islice(gamma_stream(), 6)) == first
+    monkeypatch.setenv("SLICEGB_SEED", "2")
+    shifted = list(itertools.islice(gamma_stream(), 3))
     assert shifted == [Fraction(v) for v in (4, -4, 5)]
 
 
@@ -651,7 +654,7 @@ def test_implicitize_stops_without_recomputing_a_slice(monkeypatch, case, pivot,
     monkeypatch.setattr(sections, "common_lifting", counted_lifting)
     sliced = implicitize(par, coords, images, mode="slice", pivot=pivot)
     assert sliced == elim
-    assert seen == computed == list(itertools.islice(gamma_stream(0), len(computed)))
+    assert seen == computed == list(itertools.islice(gamma_stream(), len(computed)))
     assert lifted == lifts
     # workers cannot import the counting wrapper
     monkeypatch.undo()
@@ -761,7 +764,7 @@ def test_implicitize_runs_fewer_slices_than_workers_past_the_stop(monkeypatch, i
     # two calls in flight past the stopping slice are the next two
     # slices of the stream
     assert computed == [2, -2, 3, -3]
-    assert seen == list(itertools.islice(gamma_stream(0), len(computed) + 2))
+    assert seen == list(itertools.islice(gamma_stream(), len(computed) + 2))
     assert pool.submitted == len(seen) and pool.taken == len(computed)
 
 
