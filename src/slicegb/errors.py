@@ -42,7 +42,7 @@ class LTDrift(SliceGBError):
 
 
 class MembershipFailed(SliceGBError):
-    """A lifted element fails the requested ideal-membership check."""
+    """The fiber that ``detect`` found misses one of its input points."""
 
 
 class NonPrincipal(SliceGBError):

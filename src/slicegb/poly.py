@@ -11,9 +11,7 @@ integer kernel instead: each polynomial becomes integer numerators over
 the lcm of its denominators, products and quotients are taken on int
 dicts, and each coefficient of the result becomes a ``Fraction`` once,
 at the end.  ``Fraction`` arithmetic would pay a gcd on every product
-and sum.  ``over_lcm`` clears denominators for the whole package, and
-one integer quotient, ``_int_quotient``, serves both ``exact_divide``
-and the trial division of the gcd in ``ratfunc``.
+and sum.  ``over_lcm`` clears denominators for the whole package.
 """
 
 from __future__ import annotations
@@ -358,15 +356,19 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
     return _from_numerators(target, terms, den)
 
 
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """The quotient f/g over Q; raises ``ValueError`` when g does not
-    divide f.
+# -- exact division --------------------------------------------------
+#
+# One integer quotient, ``_int_quotient``, serves ``exact_divide`` and
+# the gcd's trial division in ``ratfunc``.  It works on exponent tuples,
+# not on ``groebner``'s packed terms: most calls divide tiny polynomials,
+# where building a packing per call costs more than the division itself.
 
-    Over Q only: every coefficient of ``f`` and ``g`` must be a
-    ``Fraction``, or ``TypeError`` is raised.  The quotient is taken on
-    the integer kernel, of the numerators of ``f`` by the primitive part
-    of ``g``; by Gauss's lemma a primitive integer polynomial that
-    divides over Q divides over Z."""
+
+def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The quotient f/g over Q: ``ValueError`` when g does not divide f,
+    ``TypeError`` when a coefficient is not a ``Fraction``.  The
+    numerators of f are divided over Z by the primitive part of g, which
+    by Gauss's lemma divides them whenever g divides f over Q."""
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if not (_over_q(f) and _over_q(g)):
@@ -407,10 +409,8 @@ def _int_mul(a: Dict[PowerProduct, int], b: Dict[PowerProduct, int]) -> Dict[Pow
 
 
 def _int_quotient(a: Dict[PowerProduct, int], h: Dict[PowerProduct, int]) -> Optional[Dict[PowerProduct, int]]:
-    """The quotient ``a / h`` of two polynomials with int coefficients
-    over Z, by division under lex, or None when ``h`` does not divide
-    ``a`` there.  The one exact division of the package: ``exact_divide``
-    and the gcd's trial division both run on it."""
+    """The quotient ``a / h`` over Z of int polynomials, by division
+    under lex, or None when ``h`` does not divide ``a`` there."""
     lt = max(h)
     lc = h[lt]
     tail = [(t, x) for t, x in h.items() if t != lt]

@@ -5,6 +5,7 @@ every optional parameter of a package function is passed by some call
 in the package."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -110,16 +111,6 @@ def optional_parameters(owner, node):
     return found
 
 
-def callee(call: ast.Call):
-    """The called name and the arguments it gets; ``partial(f, ...)``
-    counts as a call of ``f``."""
-    func, args = call.func, call.args
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name == "partial" and args and isinstance(args[0], (ast.Name, ast.Attribute)):
-        return callee(ast.Call(func=args[0], args=args[1:], keywords=call.keywords))
-    return name, args, call.keywords
-
-
 def passed_options():
     """``(class, name, parameter)`` that some call in the package passes,
     matched by the called name; a call by class name is a call of that
@@ -136,14 +127,13 @@ def passed_options():
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
                 continue
-            called, args, keywords = callee(call)
-            starred = next((k for k, a in enumerate(args) if isinstance(a, ast.Starred)), None)
-            given = {kw.arg for kw in keywords}
+            func, args = call.func, call.args
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            reach = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            given = {kw.arg for kw in call.keywords}
             for name, owner, node in by_name.get(called, []):
                 for param, position in optional_parameters(owner, node):
-                    if (param in given or None in given
-                            or position is not None and position < len(args)
-                            or starred is not None and position is not None and position >= starred):
+                    if param in given or None in given or position is not None and position < reach:
                         passed.add((owner, name, param))
     return passed
 
