@@ -20,7 +20,7 @@ from .errors import DenominatorVanishes, DependentParameters, HypothesisViolatio
 from .groebner import (
     GroebnerBasis,
     Ideal,
-    dimension,
+    basis_dimension,
     eliminate,
     groebner_basis,
     integer_normalize,
@@ -233,7 +233,7 @@ def coefficient_scheme(
     """
     yring = Ring(tuple(f"y{j + 1}" for j in range(len(values))))
     implicit = _eliminate_params(params, yring, zip(yring.names, values))
-    return SchemeDescription(implicit, dimension(implicit))
+    return SchemeDescription(implicit, basis_dimension(implicit))
 
 
 # -- hyperplane sections of families ---------------------------------

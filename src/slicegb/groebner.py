@@ -703,19 +703,27 @@ def check_reduced(order: TermOrder, polys: Sequence[Polynomial]) -> bool:
 
 def eliminate(ideal: Ideal, drop: Sequence[int]) -> Ideal:
     """The ideal's intersection with the subring omitting the ``drop``
-    variables, presented by its reduced basis there."""
+    variables, presented by its reduced basis there.
+
+    Under ``Elim`` every term with a dropped variable lies above every
+    term without one.  So the Buchberger elements whose leading term is
+    free of the dropped variables are a Groebner basis of the
+    intersection, and only they are minimalized and interreduced."""
     drop_set = sorted(set(drop))
     keep = [i for i in range(ideal.ring.arity) if i not in drop_set]
     sub = Ring(tuple(ideal.ring.names[i] for i in keep))
     if ideal.is_zero:
         return Ideal.of(sub, [])
-    order = Elim(ideal.ring.arity, drop_set)
-    basis = groebner_basis(order, ideal.generators)
-    survivors = []
-    for g in basis:
-        if all(all(t[i] == 0 for i in drop_set) for t in g.terms):
-            survivors.append(Polynomial(sub, {pp_project(t, keep): c for t, c in g.terms.items()}))
-    return Ideal.of(sub, survivors)
+    gens = _generators(ideal.generators)
+    step = _step(gens)
+
+    def run(pk: _Packing) -> List[Polynomial]:
+        elems = _buchberger_packed(pk, gens, step)
+        kept = [e for e in elems if not any(pk.unpack(max(e))[i] for i in drop_set)]
+        return _reduce_basis_packed(pk, ideal.ring, kept, step)
+
+    basis = _packed_call(Elim(ideal.ring.arity, drop_set), gens, run)
+    return Ideal.of(sub, [Polynomial(sub, {pp_project(t, keep): c for t, c in g.terms.items()}) for g in basis])
 
 
 def _max_independent(supports: List[FrozenSet[int]], avail: FrozenSet[int], memo: Dict[FrozenSet[int], int]) -> int:
@@ -740,6 +748,16 @@ def monomial_dimension(m: MonomialIdeal) -> int:
         return -1
     supports = [frozenset(pp_support(t)) for t in m.gens]
     return _max_independent(supports, frozenset(range(m.arity)), {})
+
+
+def basis_dimension(ideal: Ideal) -> int:
+    """``dimension`` of an ideal whose generators are its Groebner basis
+    under ``DegRevLex``, read off their leading terms.  ``eliminate``
+    returns such an ideal: ``Elim`` orders the kept variables by
+    ``DegRevLex`` in listed order."""
+    order = DegRevLex(ideal.ring.arity)
+    lts = [g.leading_power_product(order) for g in ideal.generators]
+    return monomial_dimension(MonomialIdeal.of(ideal.ring.arity, lts))
 
 
 def dimension(ideal: Ideal, order: TermOrder = None) -> int:

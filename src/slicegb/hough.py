@@ -22,14 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import Inconsistent, MembershipFailed, NotLinearInParams, Underdetermined
 from .families import Family, parse_family_json, specialize_family
-from .groebner import (
-    Ideal,
-    MonomialIdeal,
-    dimension,
-    eliminate,
-    groebner_basis,
-    monomial_dimension,
-)
+from .groebner import Ideal, basis_dimension, dimension, eliminate, groebner_basis
 from .orders import DegRevLex, TermOrder
 from .parsing import read_list, read_object, read_polynomial, read_rational, read_slices, read_variable
 from .poly import Polynomial
@@ -97,10 +90,7 @@ def _parameter_locus(params: Ring, generators: Sequence[Polynomial]) -> HoughRes
     ideal = Ideal(params, basis.elements)
     if len(basis) == 1 and basis.elements[0].is_constant():
         return HoughResult(ideal, -1, None)
-    dim = monomial_dimension(
-        MonomialIdeal.of(params.arity, basis.leading_power_products())
-    )
-    return HoughResult(ideal, dim, _rational_point(params, basis))
+    return HoughResult(ideal, basis_dimension(ideal), _rational_point(params, basis))
 
 
 def _check_point(fam: Family, point) -> Point:
@@ -128,9 +118,8 @@ def generic_hough_dimension(fam: Family) -> int:
     of it the actual locus can be larger.
     """
     combined = fam.combined_ideal()
-    total = dimension(combined)
     image = eliminate(combined, range(fam.params.arity))
-    return total - dimension(image)
+    return dimension(combined) - basis_dimension(image)
 
 
 # -- the linear case -------------------------------------------------

@@ -9,6 +9,13 @@ Grammar (whitespace between tokens is ignored):
 
 Products need an explicit "*"; "/" only joins two integer literals.
 Parentheses nest at most ``MAX_NESTING`` deep.
+
+The parser walks text positions and builds no token list.  One regular
+expression match at the current position reads a whole run of
+rationals and powers joined by "*", which is all of a term such as
+``-3/2*x^9*y^2`` after its sign; only a "(" drops to factor-by-factor
+descent.  A ``ParseError`` takes its span from the token pattern matched
+at the failing position.
 ``format_polynomial`` emits terms in descending order so that
 ``parse_polynomial(format_polynomial(order, f)) == f``.
 """
@@ -41,49 +48,52 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()^*+/-]))")
-_KINDS = (None, "num", "name", "op")  # by the group that matched
 
-Token = Tuple[str, str, int, int]  # kind, value, start, end
+# A run of rational and power factors joined by "*": one match reads a
+# whole flat term.  A "/" or "^" that lacks its integer still matches,
+# so that the fold can report it at the right place.
+_FACTOR = re.compile(r"\s*(?:(\d+)(\s*/(?:\s*(\d+))?)?|([A-Za-z_][A-Za-z_0-9]*)(\s*\^(?:\s*(\d+))?)?)")
+_RUN = re.compile(rf"{_FACTOR.pattern}(?:\s*\*{_FACTOR.pattern})*")
+_MINUS, _TIMES, _PLUS_MINUS = re.compile(r"\s*-"), re.compile(r"\s*\*"), re.compile(r"\s*([-+])")
 
 # each level costs two frames of the recursive descent; this keeps a
 # parse well inside Python's default recursion limit
 MAX_NESTING = 100
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    match = _TOKEN.match
-    pos = 0
-    while pos < len(text):
-        m = match(text, pos)
-        if m is None:
-            break
-        group = m.lastindex
-        start, end = m.span(group)
-        tokens.append((_KINDS[group], text[start:end], start, end))
-        pos = m.end()
-    rest = text[pos:]
-    if rest.strip():
-        first = pos + (len(rest) - len(rest.lstrip()))
-        raise ParseError("unexpected character", SourceSpan(first, first + 1), text)
-    tokens.append(("end", "", len(text), len(text)))
-    return tokens
-
-
 class _Parser:
-    """Recursive descent that builds each term as one monomial: only a
-    parenthesised factor goes through ``Polynomial`` arithmetic, and a
-    sum collects its terms in one dict."""
+    """Recursive descent over text positions that builds each term as
+    one monomial: only a parenthesised factor goes through
+    ``Polynomial`` arithmetic, and a sum collects its terms in one dict.
+
+    An error names the first character that starts no token, when the
+    text has one anywhere, and otherwise the token where the grammar
+    fails."""
 
     def __init__(self, ring: Ring, text: str):
         self.ring = ring
         self.text = text
-        self.tokens = _tokenize(text)
+        self.index = {name: i for i, name in enumerate(ring.names)}
         self.depth = 0
 
+    def token(self, pos: int) -> Tuple[str, int]:
+        """The text of the token at ``pos`` and its end, or "" when no
+        token starts there."""
+        m = _TOKEN.match(self.text, pos)
+        return (m.group(m.lastindex), m.end()) if m else ("", pos)
+
     def fail(self, message: str, pos: int):
-        _, _, start, end = self.tokens[pos]
-        raise ParseError(message, SourceSpan(start, end), self.text)
+        text = self.text
+        end = 0
+        while (m := _TOKEN.match(text, end)) is not None:
+            end = m.end()
+        rest = text[end:].lstrip()
+        if rest:
+            first = len(text) - len(rest)
+            raise ParseError("unexpected character", SourceSpan(first, first + 1), text)
+        m = _TOKEN.match(text, pos)
+        start, end = m.span(m.lastindex) if m else (len(text), len(text))
+        raise ParseError(message, SourceSpan(start, end), text)
 
     # poly := term (("+" | "-") term)*
     def poly(self, pos: int) -> Tuple[Polynomial, int]:
@@ -91,76 +101,86 @@ class _Parser:
         sign = 1
         while True:
             pos = self.term(pos, sign, terms)
-            kind, value, _, _ = self.tokens[pos]
-            if kind != "op" or value not in "+-":
+            m = _PLUS_MINUS.match(self.text, pos)
+            if m is None:
                 return Polynomial(self.ring, terms), pos
-            sign = 1 if value == "+" else -1
-            pos += 1
+            sign = 1 if m.group(1) == "+" else -1
+            pos = m.end()
 
     # term := ["-"] factor ("*" factor)*
     # factor := rational | var ["^" nat] | "(" poly ")"
     def term(self, pos: int, sign: int, into: Dict[PowerProduct, Fraction]) -> int:
         """Parse a term, add ``sign`` times it into ``into`` and return
         the position after it."""
-        tokens = self.tokens
-        kind, value, _, _ = tokens[pos]
-        if kind == "op" and value == "-":
+        text = self.text
+        m = _MINUS.match(text, pos)
+        if m is not None:
             sign = -sign
-            pos += 1
+            pos = m.end()
         num, den = sign, 1
         exps = [0] * self.ring.arity
         product = None  # of the parenthesised factors
         while True:
-            kind, value, _, _ = tokens[pos]
-            if kind == "num":
-                num *= int(value)
-                pos += 1
-                if tokens[pos][:2] == ("op", "/"):
-                    dkind, dvalue, _, _ = tokens[pos + 1]
-                    if dkind != "num":
-                        self.fail("expected integer denominator", pos + 1)
-                    d = int(dvalue)
-                    if d == 0:
-                        self.fail("zero denominator", pos + 1)
-                    den *= d
-                    pos += 2
-            elif kind == "name":
-                if value not in self.ring.names:
-                    self.fail(f"unknown variable {value!r}", pos)
-                i = self.ring.index(value)
-                pos += 1
-                if tokens[pos][:2] == ("op", "^"):
-                    if tokens[pos + 1][0] != "num":
-                        self.fail("expected integer exponent", pos + 1)
-                    exps[i] += int(tokens[pos + 1][1])
-                    pos += 2
-                else:
-                    exps[i] += 1
-            elif kind == "op" and value == "(":
+            run = _RUN.match(text, pos)
+            if run is not None:
+                n, d = self.fold(pos, run.end(), exps)
+                num *= n
+                den *= d
+                pos = run.end()
+            else:
+                value, after = self.token(pos)
+                if value != "(":
+                    self.fail("expected a rational, a variable, or '('", pos)
                 if self.depth == MAX_NESTING:
                     self.fail(f"parentheses nested deeper than {MAX_NESTING}", pos)
                 self.depth += 1
-                inner, pos = self.poly(pos + 1)
+                inner, pos = self.poly(after)
                 self.depth -= 1
-                if tokens[pos][:2] != ("op", ")"):
+                value, after = self.token(pos)
+                if value != ")":
                     self.fail("expected ')'", pos)
-                pos += 1
+                pos = after
                 product = inner if product is None else product * inner
-            else:
-                self.fail("expected a rational, a variable, or '('", pos)
-            if tokens[pos][:2] != ("op", "*"):
+            m = _TIMES.match(text, pos)
+            if m is None:
                 break
-            pos += 1
+            pos = m.end()
         if num:
             c, t = Fraction(num, den), tuple(exps)
             _add_terms(into, {t: c} if product is None else product.mul_term(t, c).terms)
         return pos
 
+    def fold(self, start: int, end: int, exps: List[int]) -> Tuple[int, int]:
+        """Add the exponents of the factor run ``text[start:end]`` into
+        ``exps``; return the numerator and denominator of its rationals."""
+        num = den = 1
+        for m in _FACTOR.finditer(self.text, start, end):
+            n, slash, d, name, caret, e = m.groups()
+            if n is not None:
+                num *= int(n)
+                if slash is not None:
+                    if d is None:
+                        self.fail("expected integer denominator", m.end(2))
+                    if not int(d):
+                        self.fail("zero denominator", m.start(3))
+                    den *= int(d)
+            else:
+                i = self.index.get(name)
+                if i is None:
+                    self.fail(f"unknown variable {name!r}", m.start(4))
+                if caret is None:
+                    exps[i] += 1
+                elif e is None:
+                    self.fail("expected integer exponent", m.end(5))
+                else:
+                    exps[i] += int(e)
+        return num, den
+
 
 def parse_polynomial(ring: Ring, text: str) -> Polynomial:
     parser = _Parser(ring, text)
     result, pos = parser.poly(0)
-    if parser.tokens[pos][0] != "end":
+    if text[pos:].strip():
         parser.fail("trailing input after polynomial", pos)
     return result
 

@@ -326,23 +326,22 @@ def _lagrange_basis(xs: Sequence[Fraction]) -> Tuple[List[List[int]], int]:
     return rows, den
 
 
-def _interpolate(basis: Tuple[List[List[int]], int], ys: Sequence[int], den: int) -> List[Fraction]:
-    """Coefficients, low degree first, of the polynomial taking the
-    values ``ys[k] / den`` (integer numerators) at the nodes of the
-    Lagrange ``basis``: one integer dot product per coefficient."""
-    rows, den_basis = basis
+def _interpolate(rows: List[List[int]], ys: Sequence[int]) -> List[int]:
+    """Coefficients, low degree first and as numerators over the basis
+    denominator, of the polynomial taking the values ``ys`` at the nodes
+    of the Lagrange basis ``rows``: one integer dot product each."""
     coeffs = [sum(map(operator.mul, ys, row)) for row in rows]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    den *= den_basis
-    return [Fraction(c, den) for c in coeffs]
+    return coeffs
 
 
 def lagrange_coefficients(points: Sequence[Tuple[Fraction, Fraction]]) -> List[Fraction]:
     """Coefficients, low degree first, of the unique polynomial of
     degree < len(points) through the given (x, y) pairs."""
     ys, den = over_lcm([y for _, y in points])
-    return _interpolate(_lagrange_basis([x for x, _ in points]), ys, den)
+    rows, den_basis = _lagrange_basis([x for x, _ in points])
+    return [Fraction(c, den * den_basis) for c in _interpolate(rows, ys)]
 
 
 def _columns(values: Sequence[Polynomial]) -> Tuple[List[PowerProduct], List[List[int]], int]:
@@ -407,9 +406,12 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     pivot.  The interpolation runs on integers: the slice values become
     numerators over one shared denominator and each coefficient is a dot
     product with a row of the integer Lagrange basis, made a ``Fraction``
-    once.  Each slice equation is re-verified on the result rather than
-    assumed, in the sheared coordinates: undoing the shear maps the slice
-    pivot = gamma there onto the cut pivot = tail + gamma exactly.
+    once.  Each slice equation is re-verified rather than assumed, on
+    those integers and before the shear is undone: with the nodes X_k / S
+    over their lcm S, the Horner value at X_k of a column's interpolated
+    numerators, scaled by S^top, must be the slice numerator times the
+    basis denominator times S^top.  Undoing the shear maps the slice
+    pivot = gamma onto the cut pivot = tail + gamma exactly.
     """
     if len(values) != len(family.gammas):
         raise ValueError("one slice value per slice constant required")
@@ -419,18 +421,25 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
             raise ValueError("slice values must live in the ring without the pivot")
     ring = family.ring
     i = family.pivot
-    basis = _lagrange_basis(family.gammas)
+    rows, den_basis = _lagrange_basis(family.gammas)
+    nodes, scale = over_lcm(family.gammas)
     slice_terms, columns, den = _columns(values)
+    whole = den * den_basis
     terms: Dict[PowerProduct, Fraction] = {}
     for t, col in zip(slice_terms, columns):
-        for d, c in enumerate(_interpolate(basis, col, den)):
+        coeffs = _interpolate(rows, col)
+        target = den_basis * scale ** max(len(coeffs) - 1, 0)
+        for x, y in zip(nodes, col):
+            value, power = 0, 1
+            for c in reversed(coeffs):
+                value = value * x + c * power
+                power *= scale
+            if value != y * target:
+                raise AssertionError("lifting failed to restrict to a slice value; this is a bug")
+        for d, c in enumerate(coeffs):
             if c:
-                terms[pp_insert(t, i, d)] = c
+                terms[pp_insert(t, i, d)] = Fraction(c, whole)
     lifted = Polynomial(ring, terms)
-    # checked in the sheared frame, where each slice pins the pivot to gamma
-    for gamma, v in zip(family.gammas, values):
-        if LinearForm(ring, i, (), gamma).apply(lifted) != v:
-            raise AssertionError("lifting failed to restrict to a slice value; this is a bug")
     if family.tail:
         # undo the coordinate change: the pivot goes back to pivot - tail
         pivot_var = Polynomial.variable(ring, ring.names[i])

@@ -611,6 +611,23 @@ def test_eliminate_keeps_members():
         assert is_member(g.embed_insert(0, "t"), gb)
 
 
+@settings(max_examples=25, deadline=None)
+@given(small_ideals(R3))
+def test_eliminate_is_the_projection_of_the_full_reduced_basis(gens):
+    # eliminate interreduces only the elements free of the dropped
+    # variables; the full reduced basis under Elim has the same survivors
+    ideal = Ideal.of(R3, gens)
+    for drop in ([], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]):
+        keep = [i for i in range(3) if i not in drop]
+        full = groebner_basis(Elim(3, drop), gens)
+        survivors = [g for g in full if all(t[i] == 0 for t in g.terms for i in drop)]
+        out = eliminate(ideal, drop)
+        assert out.ring.names == tuple(R3.names[i] for i in keep)
+        assert [g.terms for g in out.generators] == [
+            {tuple(t[i] for i in keep): c for t, c in g.terms.items()} for g in survivors
+        ]
+
+
 # -- dimension -------------------------------------------------------
 
 

@@ -12,8 +12,14 @@ from slicegb.errors import (
     NotLinearInParams,
     Underdetermined,
 )
-from slicegb.families import Family, specialize_family
-from slicegb.groebner import dimension, eliminate, normal_form
+from slicegb.families import (
+    Family,
+    coefficient_scheme,
+    family_basis,
+    nonconstant_coefficients,
+    specialize_family,
+)
+from slicegb.groebner import basis_dimension, dimension, eliminate, normal_form
 from slicegb.hough import (
     detect,
     generic_hough_dimension,
@@ -119,14 +125,18 @@ def test_generic_locus_dimension_of_the_line_family():
     assert generic_hough_dimension(fam) == 1
 
 
-def test_degenerate_image_family():
-    # the swept set is two pieces: the origin, hit by every parameter
-    # choice, and the line x1 = 1, hit along a curve of choices
-    fam = Family.parse(
+def degenerate_family():
+    """The swept set is two pieces: the origin, hit by every parameter
+    choice, and the line x1 = 1, hit along a curve of choices."""
+    return Family.parse(
         P2,
         ring("x1", "x2"),
         ["x1^2 -x1", "x1*x2 -x2", "x2^2 +a1*a2*x1 -(a1 +a2)*x2"],
     )
+
+
+def test_degenerate_image_family():
+    fam = degenerate_family()
     combined = fam.combined_ideal()
     assert dimension(combined) == 2
     image = eliminate(combined, range(2))
@@ -139,6 +149,18 @@ def test_degenerate_image_family():
         expected = (p("a1", P2) - c) * (p("a2", P2) - c)
         assert list(on_line.ideal.generators) == [expected]
         assert on_line.dimension == 1
+
+
+@pytest.mark.parametrize("family", [line_family, rose_family, cubic_template, degenerate_family],
+                         ids=lambda f: f.__name__)
+def test_dimensions_are_read_off_the_eliminated_basis(family):
+    # eliminate returns the reduced DegRevLex basis of the kept ring, so
+    # its leading terms give the dimension that a new basis would
+    fam = family()
+    image = eliminate(fam.combined_ideal(), range(fam.params.arity))
+    assert basis_dimension(image) == dimension(image)
+    scheme = coefficient_scheme(fam.params, nonconstant_coefficients(family_basis(fam)))
+    assert scheme.dimension == dimension(scheme.ideal)
 
 
 def test_rose_locus_at_a_projection_point():

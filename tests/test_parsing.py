@@ -137,6 +137,29 @@ def test_parse_agrees_with_polynomial_arithmetic(expression):
     assert all(parsed.terms.values())
 
 
+# the grammar's tokens, with blanks, a leading zero, a non-ASCII digit
+# (a number to \d) and characters that start no token
+FUZZ_PIECES = ["x", "y", "z", "w", "x1", "0", "1", "2", "12", "007", "\u0663",
+               "(", ")", "^", "*", "+", "-", "/", " ", "\t", "%", ".", "\u00e9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=16).map("".join))
+@example("2*x*/3 %")
+@example("-(x +1)*y^2*(z -3/4) +x*y -7")
+def test_random_token_streams_parse_or_raise_parse_error(text):
+    try:
+        parsed = parse_polynomial(R, text)
+    except ParseError as error:
+        assert 0 <= error.span.start <= error.span.end <= len(text)
+        if str(error).startswith("unexpected character"):
+            assert text[error.span.start] in "%.\u00e9"
+        return
+    assert all(parsed.terms.values())
+    for order in (O, Lex(3)):
+        assert parse_polynomial(R, format_polynomial(order, parsed)) == parsed
+
+
 def test_nesting_depth_is_bounded():
     assert parse_polynomial(R, "(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == parse_polynomial(R, "x")
     deep = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)

@@ -96,6 +96,17 @@ def test_gcd_matches_the_remainder_sequence(factors):
         assert got == expected and repr(got) == repr(expected)
 
 
+def test_gcd_refuses_a_candidate_with_wrong_coefficients():
+    # t*(t +2)^2 and -(3*t -2)*(t +2) at the first evaluation point 10:
+    # gcd(1440, 336) = 48 lifts to 5*t -2, whose exponents divide both
+    # inputs but whose leading coefficient 5 does not divide t^3; only
+    # the coefficient check of the trial division refuses it, and the
+    # next point 27 gives gcd(22707, 2291) = 29, which lifts to t +2
+    f, g = p("t^3 +4*t^2 +4*t", T), p("-3*t^2 -4*t +4", T)
+    assert ratfunc._lift({(0,): 48}, 0, 10) == {(1,): 5, (0,): -2}
+    assert polynomial_gcd(f, g) == p("t +2", T)
+
+
 def test_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
     # no candidate divides: all six evaluation points fail at every level
     monkeypatch.setattr(ratfunc, "_int_quotient", lambda a, h: None)

@@ -416,6 +416,27 @@ def test_common_lifting_with_tail():
     assert common_lifting(fam, values) == target
 
 
+@pytest.mark.parametrize("corrupt", [0, -1], ids=["constant", "top"])
+def test_common_lifting_checks_every_slice(monkeypatch, corrupt):
+    # one interpolated coefficient off by one numerator: on fraction
+    # nodes of an oblique cut, the integer check refuses the lift
+    target = p("x^2*y -z*x +y", R3)
+    fam = SliceFamily.of(R3, "x", [Fraction(1, 2), Fraction(-1, 3), Fraction(2)], tail={"z": Fraction(1)})
+    values = [form.apply(target) for form in fam.forms()]
+    interpolate, calls = sections._interpolate, []
+
+    def corrupted(rows, ys):
+        coeffs = interpolate(rows, ys)
+        if not calls:
+            coeffs[corrupt] += 1
+        calls.append(ys)
+        return coeffs
+
+    monkeypatch.setattr(sections, "_interpolate", corrupted)
+    with pytest.raises(AssertionError, match="failed to restrict to a slice value"):
+        common_lifting(fam, values)
+
+
 def test_common_lifting_validates_input():
     fam = SliceFamily.of(R2, "y", [0, 1])
     with pytest.raises(ValueError):
