@@ -719,7 +719,8 @@ def eliminate(ideal: Ideal, drop: Sequence[int]) -> Ideal:
 
     def run(pk: _Packing) -> List[Polynomial]:
         elems = _buchberger_packed(pk, gens, step)
-        kept = [e for e in elems if not any(pk.unpack(max(e))[i] for i in drop_set)]
+        lts = [pk.unpack(max(e)) for e in elems]
+        kept = [e for e, lt in zip(elems, lts) if not any(lt[i] for i in drop_set)]
         return _reduce_basis_packed(pk, ideal.ring, kept, step)
 
     basis = _packed_call(Elim(ideal.ring.arity, drop_set), gens, run)

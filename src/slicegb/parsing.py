@@ -9,6 +9,8 @@ Grammar (whitespace between tokens is ignored):
 
 Products need an explicit "*"; "/" only joins two integer literals.
 Parentheses nest at most ``MAX_NESTING`` deep.
+``format_polynomial`` emits terms in descending order so that
+``parse_polynomial(format_polynomial(order, f)) == f``.
 
 The parser walks text positions and builds no token list.  One regular
 expression match at the current position reads a whole run of
@@ -16,8 +18,6 @@ rationals and powers joined by "*", which is all of a term such as
 ``-3/2*x^9*y^2`` after its sign; only a "(" drops to factor-by-factor
 descent.  A ``ParseError`` takes its span from the token pattern matched
 at the failing position.
-``format_polynomial`` emits terms in descending order so that
-``parse_polynomial(format_polynomial(order, f)) == f``.
 """
 
 from __future__ import annotations
@@ -84,6 +84,7 @@ class _Parser:
 
     def fail(self, message: str, pos: int):
         text = self.text
+        # a character that starts no token outranks any grammar error
         end = 0
         while (m := _TOKEN.match(text, end)) is not None:
             end = m.end()
