@@ -158,13 +158,14 @@ class _Parser:
         for m in _FACTOR.finditer(self.text, start, end):
             n, slash, d, name, caret, e = m.groups()
             if n is not None:
-                num *= int(n)
+                num *= _integer(n)
                 if slash is not None:
                     if d is None:
                         self.fail("expected integer denominator", m.end(2))
-                    if not int(d):
+                    d = _integer(d)
+                    if not d:
                         self.fail("zero denominator", m.start(3))
-                    den *= int(d)
+                    den *= d
             else:
                 i = self.index.get(name)
                 if i is None:
@@ -210,6 +211,34 @@ def _ring(names: list, value) -> Ring:
 
 # -- printing --------------------------------------------------------
 
+# Python refuses to turn an int of more than sys.get_int_max_str_digits()
+# decimal digits (4300 by default) into text or back, and an unreduced
+# lex basis reaches that; longer integers are converted in halves.
+_DIGITS = 4000
+
+
+def _integer(digits: str) -> int:
+    """``int(digits)`` for a digit string of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:k]) * 10 ** (len(digits) - k) + _integer(digits[k:])
+
+
+def _decimal(n: int) -> str:
+    """``str(n)`` for an ``n >= 0`` of any length."""
+    if n.bit_length() <= 3 * _DIGITS:  # under 0.302 * bits + 1 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _format_rational(c: Fraction) -> str:
+    """``str(c)`` for a ``c >= 0`` whose terms may be of any length."""
+    if c.denominator == 1:
+        return _decimal(c.numerator)
+    return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
 
 def _format_power_product(ring: Ring, t: PowerProduct) -> str:
     parts = []
@@ -246,7 +275,7 @@ def format_polynomial(order: TermOrder, f: Polynomial) -> str:
         negative = c < 0
         mag = -c if negative else c
         body = _format_power_product(f.ring, t)
-        head = str(mag)
+        head = _format_rational(mag) if isinstance(mag, Fraction) else str(mag)
         if _bare_sum(head):
             head = f"({head})"
         if pp_degree(t) == 0:

@@ -193,6 +193,17 @@ def test_round_trip(f):
         assert parse_polynomial(R, format_polynomial(order, f)) == f
 
 
+@pytest.mark.parametrize("digits", [4299, 4301, 9000, 20001])
+def test_round_trip_past_the_int_text_limit(digits):
+    # Python converts at most 4300 decimal digits between int and text by
+    # default; an unreduced lex basis can hold longer coefficients
+    n = 10 ** (digits - 1) + 12345
+    f = Polynomial(R, {(1, 0, 0): Fraction(-n, 7**9000), (0, 0, 0): Fraction(n)})
+    text = format_polynomial(O, f)
+    assert text.endswith(" +1" + "0" * (digits - 6) + "12345")
+    assert parse_polynomial(R, text) == f
+
+
 @settings(max_examples=60)
 @given(polynomials(R), polynomials(R))
 def test_format_injective(f, g):
