@@ -33,7 +33,14 @@ from .families import (
 from .groebner import Ideal, colon_ideal, dimension, eliminate, groebner_basis, normal_form
 from .hough import detect, generic_hough_dimension, hough_ideal, load_detection_file
 from .orders import DegRevLex, order_by_name
-from .parsing import format_polynomial, parse_ideal_json, parse_ideal_text, parse_polynomial, read_rational
+from .parsing import (
+    format_polynomial,
+    format_rational,
+    parse_ideal_json,
+    parse_ideal_text,
+    parse_polynomial,
+    read_rational,
+)
 from .rings import Ring
 from .sections import (
     LinearForm,
@@ -134,10 +141,6 @@ def _poly_lines(order, polys) -> List[str]:
     if not polys:
         return ["0"]
     return [format_polynomial(order, g) for g in polys]
-
-
-def _point_text(point) -> str:
-    return ", ".join(str(c) for c in point)
 
 
 # -- plain ideal commands --------------------------------------------
@@ -362,44 +365,33 @@ def _cmd_family_section(args) -> int:
 # -- parameter detection ---------------------------------------------
 
 
+def _emit_locus(args, fam, res, report_empty: bool) -> int:
+    """A parameter locus: its generators, dimension and solution, and
+    with ``report_empty`` whether it is empty."""
+    strs = _poly_lines(DegRevLex(fam.params.arity), res.ideal.generators)
+    solution = None if res.solution is None else [format_rational(c) for c in res.solution]
+    lines = strs + [f"dimension: {res.dimension}"]
+    if report_empty and res.empty:
+        lines.append("inconsistent")
+    elif solution is not None:
+        lines.append(f"solution: {', '.join(solution)}")
+    payload = {"generators": strs, "dimension": res.dimension, "solution": solution or None}
+    if report_empty:
+        payload["inconsistent"] = res.empty
+    return _emit(args, payload, lines)
+
+
 def _cmd_hough(args) -> int:
-    ff = _load_family(args.file)
-    fam = ff.family
+    fam = _load_family(args.file).family
     if args.point is None:
         d = generic_hough_dimension(fam)
         return _emit(args, {"dimension": d}, [str(d)])
-    res = hough_ideal(fam, _parse_point(args.point))
-    order = DegRevLex(fam.params.arity)
-    strs = _poly_lines(order, res.ideal.generators)
-    lines = strs + [f"dimension: {res.dimension}"]
-    if res.solution is not None:
-        lines.append(f"solution: {_point_text(res.solution)}")
-    payload = {
-        "generators": strs,
-        "dimension": res.dimension,
-        "solution": [str(c) for c in res.solution] if res.solution else None,
-    }
-    return _emit(args, payload, lines)
+    return _emit_locus(args, fam, hough_ideal(fam, _parse_point(args.point)), False)
 
 
 def _cmd_detect(args) -> int:
-    ff = _load_family(args.file)
-    fam = ff.family
-    res = detect(fam, _parse_points(args.points))
-    order = DegRevLex(fam.params.arity)
-    strs = _poly_lines(order, res.ideal.generators)
-    lines = strs + [f"dimension: {res.dimension}"]
-    if res.empty:
-        lines.append("inconsistent")
-    elif res.solution is not None:
-        lines.append(f"solution: {_point_text(res.solution)}")
-    payload = {
-        "generators": strs,
-        "dimension": res.dimension,
-        "solution": [str(c) for c in res.solution] if res.solution else None,
-        "inconsistent": res.empty,
-    }
-    return _emit(args, payload, lines)
+    fam = _load_family(args.file).family
+    return _emit_locus(args, fam, detect(fam, _parse_points(args.points)), True)
 
 
 def _cmd_reconstruct_surface(args) -> int:

@@ -28,9 +28,7 @@ from .ratfunc import RationalFunction, polynomial_gcd, polynomial_lcm
 from .rings import (
     PowerProduct,
     Ring,
-    pp_div,
     pp_divides,
-    pp_lcm,
     pp_one,
     pp_project,
     pp_support,
@@ -98,13 +96,6 @@ class MonomialIdeal:
 # -- division --------------------------------------------------------
 
 
-def spolynomial(order: TermOrder, f: Polynomial, g: Polynomial) -> Polynomial:
-    cf, tf = f.leading_term(order)
-    cg, tg = g.leading_term(order)
-    l = pp_lcm(tf, tg)
-    return f.mul_term(pp_div(l, tf), 1 / cf) - g.mul_term(pp_div(l, tg), 1 / cg)
-
-
 def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
     """Scale a rational-coefficient polynomial to integer coefficients with
     content 1 and a positive leading coefficient."""
@@ -122,8 +113,8 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # ``buchberger``, ``reduce_basis`` and ``normal_form`` all divide in one
 # loop, ``_reduce``, on packed terms.  Reducers are tried in list order
 # on the largest pending term.  What a division step does to the
-# coefficients is set by one of three step classes; ``_step`` picks the
-# one for Buchberger and the interreduction by the coefficient type:
+# coefficients is set by one of two pseudo-division steps, which
+# ``_step`` picks by the coefficient type:
 #
 # - ``_Integers``, over Q (every coefficient a ``Fraction``).
 #   Coefficients are ints.  A remainder is rescaled to content 1 right
@@ -139,12 +130,14 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 #   polynomial content.  ``RationalFunction`` arithmetic, with a gcd on
 #   every sum and product, stays out of the loop: each coefficient
 #   becomes one ``RationalFunction`` at the end.
-# - ``_Field``, for ``normal_form``, whose remainder must be the normal
-#   form itself.  The step divides by the reducer's leading
-#   coefficient, and stored elements are monic.
 #
-# All three steps thus store the same elements up to units; the tests
-# check the other two against ``_Field``.
+# Scaling the pending polynomial by a nonzero factor keeps its terms,
+# so for each term both steps pick the reducer that division over the
+# field picks, and they store the same elements up to units; the tests
+# check them against a step that divides by leading coefficients.  ``normal_form`` needs the remainder itself, not a
+# multiple: it starts the remainder with ``f``'s clearing factor under
+# the key -1, below every packed term, so each rescale and content
+# strip applies to that scale too, and divides by it at the end.
 #
 # A term is one plain int made of fields of ``bits`` value bits plus a
 # guard bit each: the order's weight rows (most significant first),
@@ -295,9 +288,10 @@ class _Integers:
     elements of content 1 with a positive leading coefficient."""
 
     @staticmethod
-    def pack(pk: _Packing, f: Polynomial) -> Dict[int, int]:
-        nums, _ = over_lcm(f.terms.values())
-        return _content_one(dict(zip(map(pk.pack, f.terms), nums)))
+    def pack(pk: _Packing, f: Polynomial) -> Tuple[Dict[int, int], int]:
+        """The coefficients times the lcm of their denominators, and that lcm."""
+        nums, den = over_lcm(f.terms.values())
+        return dict(zip(map(pk.pack, f.terms), nums)), den
 
     @staticmethod
     def divide(c: int, lc: int) -> Tuple[int, int]:
@@ -322,13 +316,13 @@ class _Parameters:
     coefficients, and stored elements of polynomial content 1."""
 
     @staticmethod
-    def pack(pk: _Packing, f: Polynomial) -> Dict[int, Polynomial]:
-        """The coefficients times the lcm of their denominators."""
-        dens = [c.den for c in f.terms.values() if not c.den.is_constant()]
-        if not dens:
-            return {pk.pack(t): c.num for t, c in f.terms.items()}
-        lcm = reduce(polynomial_lcm, dens)
-        return {pk.pack(t): exact_divide(lcm, c.den) * c.num for t, c in f.terms.items()}
+    def pack(pk: _Packing, f: Polynomial) -> Tuple[Dict[int, Polynomial], Polynomial]:
+        """The coefficients times the lcm of their denominators, and that
+        lcm; denominators are monic, so a constant one is 1."""
+        dens = [c.den for c in f.terms.values()]
+        lcm = reduce(polynomial_lcm, [d for d in dens if not d.is_constant()] or dens[:1])
+        return {pk.pack(t): c.num if c.den == lcm else exact_divide(lcm, c.den) * c.num
+                for t, c in f.terms.items()}, lcm
 
     @staticmethod
     def divide(c: Polynomial, lc: Polynomial) -> tuple:
@@ -365,39 +359,8 @@ class _Parameters:
         return {u: RationalFunction(c, lc) for u, c in terms.items()}
 
 
-class _Field:
-    """The division step over a field: divide by the leading
-    coefficient, and store monic elements."""
-
-    @staticmethod
-    def pack(pk: _Packing, f: Polynomial) -> Dict[int, object]:
-        return {pk.pack(t): c for t, c in f.terms.items()}
-
-    @staticmethod
-    def divide(c, lc) -> tuple:
-        return 1, c / lc
-
-    @staticmethod
-    def strip(work: Dict[int, object], remainder: Dict[int, object]) -> None:
-        pass
-
-    @staticmethod
-    def to_field(terms: Dict[int, object], lc=1) -> Dict[int, object]:
-        """The coefficients divided by ``lc``, as ``Polynomial.monic``
-        divides them."""
-        if lc == 1:
-            return terms
-        inv = 1 / lc
-        return {u: c * inv for u, c in terms.items()}
-
-    @staticmethod
-    def normalize(terms: Dict[int, object]) -> Dict[int, object]:
-        return _Field.to_field(terms, terms[max(terms)])
-
-
 def _step(polys: Sequence[Polynomial]):
-    """The division step for Buchberger and the interreduction, by the
-    coefficient type."""
+    """The division step by the coefficient type."""
     if all(isinstance(c, Fraction) for g in polys for c in g.terms.values()):
         return _Integers
     return _Parameters
@@ -428,15 +391,14 @@ def _subtract(step, work: dict, remainder: dict, heap: List[int], c, lc, tail, q
                 del work[u]
 
 
-def _reduce(pk: _Packing, work: dict, red: Sequence[tuple], step) -> dict:
-    """Remainder of the packed polynomial ``work`` (which is consumed) by
-    the reducers ``(lt, lc, tail, top)``; the ``_Integers`` step gives a
-    positive integer multiple of it."""
+def _reduce(pk: _Packing, work: dict, remainder: dict, red: Sequence[tuple], step) -> dict:
+    """A multiple of the remainder of the packed polynomial ``work``
+    (which is consumed) by the reducers ``(lt, lc, tail, top)``, added
+    to ``remainder``, whose entries are rescaled along with it."""
     divisible, guards = pk.exp_guards, pk.guards
     heap = [-t for t in work]
     heapq.heapify(heap)
     pop = heapq.heappop
-    remainder: dict = {}
     steps = 0
     while heap:
         t = -pop(heap)
@@ -463,11 +425,17 @@ def normal_form(order: TermOrder, f: Polynomial, reducers: Sequence[Polynomial])
     """Full remainder of ``f`` under division by ``reducers``: the
     largest reducible term is rewritten by the first reducer in list
     order whose leading term divides it."""
+    if not f:
+        return f
     reducers = [g for g in reducers if g]
+    step = _step([f] + reducers)
 
     def run(pk: _Packing) -> Polynomial:
-        red = [pk.reducer(_Field.pack(pk, g)) for g in reducers]
-        return pk.polynomial(f.ring, _reduce(pk, _Field.pack(pk, f), red, _Field))
+        red = [pk.reducer(step.pack(pk, g)[0]) for g in reducers]
+        work, scale = step.pack(pk, f)
+        remainder = _reduce(pk, work, {-1: scale}, red, step)
+        scale = remainder.pop(-1)
+        return pk.polynomial(f.ring, step.to_field(remainder, scale))
 
     return _packed_call(order, [f] + reducers, run)
 
@@ -485,7 +453,7 @@ def _reduce_basis_packed(pk: _Packing, ring: Ring, elems: Iterable[dict], step) 
             kept_lts.append(lt)
     red = [pk.reducer(terms) for terms in kept]
     for idx, terms in enumerate(kept):
-        kept[idx] = _reduce(pk, terms, red[:idx] + red[idx + 1:], step)
+        kept[idx] = _reduce(pk, terms, {}, red[:idx] + red[idx + 1:], step)
         red[idx] = pk.reducer(kept[idx])
     return [pk.polynomial(ring, step.to_field(terms, lc)) for terms, (_, lc, _, _) in zip(kept, red)]
 
@@ -591,7 +559,7 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[d
         pairs.add(red[-1][0], sugar)
 
     for g in gens:
-        store(step.pack(pk, g), g.total_degree())
+        store(step.pack(pk, g)[0], g.total_degree())
     for i, j, l, sugar in pairs:
         fi, fc, f_tail, fi_top = red[i]
         gj, gc, g_tail, gj_top = red[j]
@@ -602,7 +570,7 @@ def _buchberger_packed(pk: _Packing, gens: Sequence[Polynomial], step) -> List[d
         # term of f shifted by qf against g; _reduce builds its own heap
         spair = {u + qf: c for u, c in f_tail}
         _subtract(step, spair, {}, [], fc, gc, g_tail, qg)
-        rem = _reduce(pk, spair, red, step)
+        rem = _reduce(pk, spair, {}, red, step)
         if rem:
             # a reducer of high degree can leave a remainder above the
             # pair's sugar; the sugar never falls below the degree
@@ -651,7 +619,7 @@ def reduce_basis(order: TermOrder, polys: Sequence[Polynomial]) -> GroebnerBasis
     step, ring = _step(nonzero), nonzero[0].ring
 
     def run(pk: _Packing) -> List[Polynomial]:
-        return _reduce_basis_packed(pk, ring, [step.pack(pk, g) for g in nonzero], step)
+        return _reduce_basis_packed(pk, ring, [step.pack(pk, g)[0] for g in nonzero], step)
 
     return GroebnerBasis(order, tuple(_packed_call(order, nonzero, run)))
 

@@ -234,8 +234,10 @@ def _decimal(n: int) -> str:
     return _decimal(high) + _decimal(low).zfill(k)
 
 
-def _format_rational(c: Fraction) -> str:
-    """``str(c)`` for a ``c >= 0`` whose terms may be of any length."""
+def format_rational(c: Fraction) -> str:
+    """``str(c)`` for a ``c`` whose terms may be of any length."""
+    if c < 0:
+        return "-" + format_rational(-c)
     if c.denominator == 1:
         return _decimal(c.numerator)
     return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
@@ -275,7 +277,7 @@ def format_polynomial(order: TermOrder, f: Polynomial) -> str:
         negative = c < 0
         mag = -c if negative else c
         body = _format_power_product(f.ring, t)
-        head = _format_rational(mag) if isinstance(mag, Fraction) else str(mag)
+        head = format_rational(mag) if isinstance(mag, Fraction) else str(mag)
         if _bare_sum(head):
             head = f"({head})"
         if pp_degree(t) == 0:

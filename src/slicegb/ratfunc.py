@@ -4,9 +4,9 @@ A :class:`RationalFunction` is a quotient of two rational-coefficient
 polynomials from the same ring, kept in lowest terms with a monic
 denominator.  The class implements enough arithmetic that it can serve
 as the coefficient type of :class:`~slicegb.poly.Polynomial`, so
-polynomials, ``normal_form`` and the slicing layer work over a field
-of fractions.  Buchberger and the interreduction do not divide here:
-they clear denominators and pseudo-divide on the parameter
+polynomials and the slicing layer work over a field of fractions.
+Buchberger, the interreduction and ``normal_form`` do not divide
+here: they clear denominators and pseudo-divide on the parameter
 polynomials, with :func:`polynomial_gcd` keeping them small, and build
 one fraction per coefficient at the end.
 

@@ -8,7 +8,7 @@ directly usable as dict keys in the sparse polynomial representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 PowerProduct = Tuple[int, ...]
 
@@ -77,18 +77,6 @@ def pp_mul(s: PowerProduct, t: PowerProduct) -> PowerProduct:
 def pp_divides(s: PowerProduct, t: PowerProduct) -> bool:
     """True when s divides t."""
     return all(a <= b for a, b in zip(s, t))
-
-
-def pp_div(t: PowerProduct, s: PowerProduct) -> Optional[PowerProduct]:
-    """t / s, or None when s does not divide t."""
-    q = tuple(b - a for a, b in zip(s, t))
-    if any(e < 0 for e in q):
-        return None
-    return q
-
-
-def pp_lcm(s: PowerProduct, t: PowerProduct) -> PowerProduct:
-    return tuple(max(a, b) for a, b in zip(s, t))
 
 
 def pp_degree(t: PowerProduct) -> int:

@@ -4,7 +4,9 @@ The oracles here deliberately avoid the library's own algorithms: the
 dimension oracle enumerates every variable subset, the membership
 oracle solves a bounded-degree linear system for the cofactors, the
 division oracle divides on exponent tuples instead of packed terms, and
-the pair-queue oracle forms its lcms on exponent tuples.
+the pair-queue oracle forms its lcms on exponent tuples.  The
+S-polynomial, which the library forms only inside its packed kernel,
+is here on polynomials.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from slicegb.poly import Polynomial
 from slicegb.orders import TermOrder
-from slicegb.rings import PowerProduct, Ring, pp_degree, pp_div, pp_lcm, pp_mul
+from slicegb.rings import PowerProduct, Ring, pp_degree, pp_mul
 
 
 def all_power_products(n: int, max_degree: int) -> List[PowerProduct]:
@@ -58,6 +60,27 @@ def nonzero_polynomials(ring: Ring, max_degree: int = 4, max_terms: int = 6, coe
 
 
 # -- independent oracles ---------------------------------------------
+
+
+def pp_div(t: PowerProduct, s: PowerProduct) -> Optional[PowerProduct]:
+    """t / s, or None when s does not divide t."""
+    q = tuple(b - a for a, b in zip(s, t))
+    if any(e < 0 for e in q):
+        return None
+    return q
+
+
+def pp_lcm(s: PowerProduct, t: PowerProduct) -> PowerProduct:
+    return tuple(max(a, b) for a, b in zip(s, t))
+
+
+def spolynomial(order: TermOrder, f: Polynomial, g: Polynomial) -> Polynomial:
+    """The S-polynomial of f and g over a field: both leading terms
+    lifted to their lcm and made monic, then subtracted."""
+    cf, tf = f.leading_term(order)
+    cg, tg = g.leading_term(order)
+    l = pp_lcm(tf, tg)
+    return f.mul_term(pp_div(l, tf), 1 / cf) - g.mul_term(pp_div(l, tg), 1 / cg)
 
 
 def pp_coprime(s: PowerProduct, t: PowerProduct) -> bool:

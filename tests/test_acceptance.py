@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_power_products, dimension_by_subset_search
+from helpers import all_power_products, dimension_by_subset_search, spolynomial
 from slicegb.errors import (
     DenominatorVanishes,
     DependentParameters,
@@ -43,7 +43,6 @@ from slicegb.groebner import (
     monomial_dimension,
     normal_form,
     reduce_basis,
-    spolynomial,
 )
 from slicegb.hough import (
     generic_hough_dimension,

@@ -239,6 +239,25 @@ def test_detect_non_collinear_is_still_exit_0():
     assert out == "1\ndimension: -1\ninconsistent\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("hough", "--point=10,1"),
+    ("hough", "--json", "--point=10,1"),
+    ("detect", "--points=10,1"),
+], ids=" ".join)
+def test_hough_solution_past_the_int_text_limit(tmp_path, argv):
+    # the point (10, 1) puts a1 at 1/10^5000, past Python's 4,300-digit
+    # limit on converting an int to text
+    family = tmp_path / "long_family.txt"
+    family.write_text("QQ[a1]\nQQ[x,y]\ny -a1*x^5000\n")
+    code, out, err = run(*argv, str(family))
+    assert code == 0 and err == ""
+    denominator = "1" + "0" * 5000
+    if "--json" in argv:
+        assert json.loads(out)["solution"] == [f"1/{denominator}"]
+    else:
+        assert out.endswith(f"solution: 1/{denominator}\n")
+
+
 def test_reconstruct_surface():
     code, out, _ = run("reconstruct-surface", path("cubic_slices.json"))
     assert code == 0

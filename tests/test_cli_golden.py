@@ -2,7 +2,7 @@
 set over the files in ``tests/data``, compared byte for byte.
 
 The call set runs every ideal file under ``gb``, ``gb --json``, ``dim``,
-``section`` and ``lift`` at three orderings, the slice pipelines on both
+``nf``, ``section`` and ``lift`` at three orderings, the slice pipelines on both
 slice files, and ``implicitize`` on ``cubic_map.json`` in both modes.
 Slice mode also runs on ``cubic_map.json`` at each pivot and at two
 jobs, and on ``pinch_map.json``, where the first interpolant the stop
@@ -33,12 +33,13 @@ from slicegb.cli import main
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden" / "cli.json"
 
-# each ideal file with a cut whose tail sits below its pivot in every
-# ordering; only the last one avoids every leading term
+# each ideal file with a polynomial for ``nf``, whose denominators the
+# division must carry, and a cut whose tail sits below its pivot in
+# every ordering; only the last cut avoids every leading term
 IDEAL_FILES = (
-    ("cone_sections.txt", "x0 -1/2*x3 -2"),
-    ("monomial_knot.txt", "x1 -3"),
-    ("twisted_surface.txt", "w -3"),
+    ("cone_sections.txt", "1/3*x2^4*x1 -2/5*x3^5 +x0^2*x1^2*x2 -7", "x0 -1/2*x3 -2"),
+    ("monomial_knot.txt", "3/4*x1*x3^3 -x2^2*x4 +1/6*x1^3 +x3", "x1 -3"),
+    ("twisted_surface.txt", "1/3*x^7 -5/2*x^3*y^2 +w^4", "w -3"),
 )
 ORDERS = ("lex", "deglex", "degrevlex")
 SLICE_FILES = ("cubic_slices.json", "lemon_slices.json")
@@ -47,13 +48,14 @@ FAMILY_FILES = ("line_family.txt", "line_family.json")
 
 def calls():
     out = []
-    for name, cut in IDEAL_FILES:
+    for name, polynomial, cut in IDEAL_FILES:
         for order in ORDERS:
             flag = ["--order", order]
             out += [
                 ["gb", *flag, name],
                 ["gb", "--json", *flag, name],
                 ["dim", *flag, name],
+                ["nf", *flag, name, polynomial],
                 ["section", *flag, "--cut", cut, name],
                 ["lift", *flag, "--cut", cut, name, name],
             ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import fractions, polynomials
+from helpers import fractions, polynomials, spolynomial
 from slicegb.errors import (
     DenominatorVanishes,
     DependentParameters,
@@ -29,7 +29,6 @@ from slicegb.groebner import (
     buchberger,
     normal_form,
     reduce_basis,
-    spolynomial,
 )
 from slicegb.orders import DegRevLex
 from slicegb.parsing import ParseError, parse_polynomial

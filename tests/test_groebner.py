@@ -16,6 +16,8 @@ from helpers import (
     normal_form_reference,
     polynomials,
     pp_coprime,
+    pp_lcm,
+    spolynomial,
     top_by_fields,
 )
 from slicegb.groebner import (
@@ -36,7 +38,6 @@ from slicegb.groebner import (
     monomial_dimension,
     normal_form,
     reduce_basis,
-    spolynomial,
 )
 from slicegb import groebner
 from slicegb.families import split_parameters
@@ -44,7 +45,7 @@ from slicegb.orders import DegLex, DegRevLex, Elim, Lex, PivotDegRev
 from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial
 from slicegb.ratfunc import RationalFunction
-from slicegb.rings import pp_degree, pp_divides, pp_lcm, ring
+from slicegb.rings import pp_degree, pp_divides, ring
 
 R2 = ring("x", "y")
 R3 = ring("x", "y", "z")
@@ -305,13 +306,35 @@ def test_reduced_basis_ignores_generator_presentation(gens, rng):
     assert groebner_basis(O2, scaled).elements == gb.elements
 
 
+class FieldStep:
+    """The division step over a field: divide by the leading
+    coefficient, and store monic elements."""
+
+    @staticmethod
+    def pack(pk, f):
+        return {pk.pack(t): c for t, c in f.terms.items()}, 1
+
+    @staticmethod
+    def divide(c, lc):
+        return 1, c / lc
+
+    @staticmethod
+    def strip(work, remainder):
+        pass
+
+    @staticmethod
+    def normalize(terms):
+        inv = 1 / terms[max(terms)]
+        return {u: c * inv for u, c in terms.items()}
+
+
 def field_buchberger(order, generators):
     """Buchberger with the field division step, which divides by leading
     coefficients; the reference for the integer and parameter steps."""
     gens = [g for g in generators if g]
 
     def run(pk):
-        return [pk.polynomial(gens[0].ring, e) for e in groebner._buchberger_packed(pk, gens, groebner._Field)]
+        return [pk.polynomial(gens[0].ring, e) for e in groebner._buchberger_packed(pk, gens, FieldStep)]
 
     return groebner._packed_call(order, gens, run)
 
@@ -406,6 +429,26 @@ def test_normal_form_matches_the_reference(order, field, inputs):
     f, reducers = inputs[field]
     got, expected = normal_form(order, f, reducers), normal_form_reference(order, f, reducers)
     assert got == expected and repr(got) == repr(expected)
+
+
+# inputs whose remainder scale ``normal_form`` must carry: over Q the
+# clearing factor is 3, and the 64th division step strips a content of 3
+# from the pending terms and the scale alike; over Q(a, b) every step
+# scales by ``a``, so the scale grows to a^65
+CARRIED_SCALE = {
+    "Q": lambda: (p("1/3*x^130 +1"), [p("x^2 -3*y")]),
+    "Q(a,b)": lambda: (over_ab(("1", "1", "x^130"), ("1", "1", "1")),
+                       [over_ab(("a", "1", "x^2"), ("-(b +1)", "1", "y"))]),
+}
+
+
+@pytest.mark.parametrize("field", CARRIED_SCALE)
+@pytest.mark.parametrize("order", [Lex(3), DegRevLex(3)], ids=lambda o: o.name)
+def test_normal_form_carries_its_scale(order, field):
+    f, reducers = CARRIED_SCALE[field]()
+    got, expected = normal_form(order, f, reducers), normal_form_reference(order, f, reducers)
+    assert got == expected and repr(got) == repr(expected)
+    assert len(got.terms) == 2
 
 
 def parameter_ideals():
