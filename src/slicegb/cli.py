@@ -31,9 +31,10 @@ from .families import (
     parse_family_text,
 )
 from .groebner import Ideal, colon_ideal, dimension, eliminate, groebner_basis, normal_form
-from .hough import detect, generic_hough_dimension, hough_ideal, load_detection_file
+from .hough import detect, generic_hough_dimension, hough_ideal, parse_detection_json
 from .orders import DegRevLex, order_by_name
 from .parsing import (
+    _integer,
     format_polynomial,
     format_rational,
     parse_ideal_json,
@@ -46,8 +47,8 @@ from .sections import (
     LinearForm,
     common_lifting,
     implicitize,
-    load_map_file,
-    load_slice_file,
+    parse_map_json,
+    parse_slice_json,
     reconstruct_basis,
     section_basis,
     verify_lifting,
@@ -95,14 +96,14 @@ def _deadline(seconds: Optional[float]):
 # -- input plumbing --------------------------------------------------
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _json(path: str):
+    """The value of a JSON file, its integers read exactly at any length."""
+    return json.loads(Path(path).read_text(), parse_int=_integer)
 
 
 def _load(path: str, from_json, from_text):
     """A file in its JSON spelling when the name ends in ``.json``."""
-    text = _read(path)
-    return from_json(json.loads(text)) if path.endswith(".json") else from_text(text)
+    return from_json(_json(path)) if path.endswith(".json") else from_text(Path(path).read_text())
 
 
 _load_ideal = functools.partial(_load, from_json=parse_ideal_json, from_text=parse_ideal_text)
@@ -247,7 +248,7 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_common_lift(args) -> int:
-    sf = load_slice_file(_read(args.file))
+    sf = parse_slice_json(_json(args.file))
     order = order_by_name(sf.family.ring, args.order) if args.order else sf.order
     values = []
     for k, base in enumerate(sf.slice_bases):
@@ -261,7 +262,7 @@ def _cmd_common_lift(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    sf = load_slice_file(_read(args.file))
+    sf = parse_slice_json(_json(args.file))
     order = order_by_name(sf.family.ring, args.order) if args.order else sf.order
     basis = reconstruct_basis(sf.family, sf.slice_bases, order)
     print("note: lifted basis not membership-checked", file=sys.stderr)
@@ -275,7 +276,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_implicitize(args) -> int:
-    mf = load_map_file(_read(args.file))
+    mf = parse_map_json(_json(args.file))
     name = args.order or mf.order_name
     order = order_by_name(mf.coord_ring, name) if name else None
     f = implicitize(
@@ -395,7 +396,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_reconstruct_surface(args) -> int:
-    df = load_detection_file(_read(args.file))
+    df = parse_detection_json(_json(args.file))
     full = Ring(df.template.ring.names + (df.pivot,))
     name = args.order or df.order_name
     order = order_by_name(full, name) if name else None

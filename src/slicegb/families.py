@@ -250,13 +250,6 @@ class FamilySectionReport:
         return self.witness is None
 
 
-def _section_generator(g: Polynomial, form: LinearForm) -> Polynomial:
-    # parameter coefficients survive substitution untouched, so the cut
-    # can act on the promoted copy and the result demotes cleanly
-    image = form.apply(g.map_coefficients(RationalFunction))
-    return image.map_coefficients(lambda c: c.as_polynomial())
-
-
 def family_section(
     fam: Family, basis: GroebnerBasis, form: LinearForm
 ) -> FamilySectionReport:
@@ -269,11 +262,8 @@ def family_section(
     actually entangles the parameters (which the theorem no longer
     forbids).
     """
-    sectioned = Family(
-        fam.params,
-        form.sub_ring(),
-        tuple(_section_generator(g, form) for g in fam.generators),
-    )
+    # the cut substitutes into parameter-polynomial coefficients as is
+    sectioned = Family(fam.params, form.sub_ring(), tuple(form.apply(g) for g in fam.generators))
     indep = parameters_independent(sectioned)
     try:
         sliced = section_basis(basis, form)

@@ -14,7 +14,6 @@ curves recovered on parallel slices, one interpolation per coefficient.
 
 from __future__ import annotations
 
-import json
 from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,8 +87,6 @@ def _parameter_locus(params: Ring, generators: Sequence[Polynomial]) -> HoughRes
         return HoughResult(Ideal(params, ()), params.arity, () if not params.arity else None)
     basis = groebner_basis(order, gens)
     ideal = Ideal(params, basis.elements)
-    if len(basis) == 1 and basis.elements[0].is_constant():
-        return HoughResult(ideal, -1, None)
     return HoughResult(ideal, basis_dimension(ideal), _rational_point(params, basis))
 
 
@@ -265,7 +262,3 @@ def parse_detection_json(data: dict) -> DetectionFile:
             points = [read_list(p, "a point", fam.ring.arity) for p in read_list(value, "'points'")]
             slices.append((gamma, [tuple(read_rational(v, "coordinate") for v in p) for p in points]))
     return DetectionFile(fam, ff.order_name, pivot, slices)
-
-
-def load_detection_file(text: str) -> DetectionFile:
-    return parse_detection_json(json.loads(text))

@@ -218,9 +218,12 @@ _DIGITS = 4000
 
 
 def _integer(digits: str) -> int:
-    """``int(digits)`` for a digit string of any length."""
+    """``int(digits)`` for a digit string of any length, signed by a
+    leading "-" or not."""
     if len(digits) <= _DIGITS:
         return int(digits)
+    if digits[0] == "-":
+        return -_integer(digits[1:])
     k = len(digits) // 2
     return _integer(digits[:k]) * 10 ** (len(digits) - k) + _integer(digits[k:])
 
@@ -355,11 +358,23 @@ def read_variable(value, ring: Ring, what: str, fresh: bool = False) -> str:
     return value
 
 
+# the integer and integer-ratio spellings that ``Fraction`` reads; their
+# digit runs are read with ``_integer``, so they may be of any length
+_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
+
+
 def read_rational(value, what: str) -> Fraction:
-    """A rational: a JSON number or a string like ``-3/4``."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    """A rational: a JSON number or a string like ``-3/4``, in any
+    spelling ``Fraction`` reads."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, (float, str)):
         try:
-            return Fraction(str(value))
+            m = _RATIO.fullmatch(value) if isinstance(value, str) else None
+            if m is None:
+                return Fraction(str(value))
+            q = Fraction(_integer(m[2]), _integer(m[3] or "1"))
+            return -q if m[1] == "-" else q
         except (ValueError, ZeroDivisionError):
             pass
     raise _reject(f"bad {what}", value)
@@ -368,7 +383,7 @@ def read_rational(value, what: str) -> Fraction:
 def read_polynomial(ring: Ring, value) -> Polynomial:
     """A polynomial: a string in the grammar above, or an integer."""
     if isinstance(value, int) and not isinstance(value, bool):
-        value = str(value)
+        return Polynomial.constant(ring, value)
     if not isinstance(value, str):
         raise _reject("a polynomial must be a string", value)
     return parse_polynomial(ring, value)

@@ -220,13 +220,19 @@ class RationalFunction:
             raise ValueError("numerator and denominator from different rings")
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = Polynomial.constant(num.ring, 1)
-        else:
+        if num:
             g = polynomial_gcd(num, den)
             if not g.is_constant():
                 num = exact_divide(num, g)
                 den = exact_divide(den, g)
+        self._canonical(num, den)
+
+    def _canonical(self, num: Polynomial, den: Polynomial) -> None:
+        """Store a pair in lowest terms as ``0/1`` when zero, and
+        otherwise with a monic denominator."""
+        if not num:
+            den = Polynomial.constant(num.ring, 1)
+        else:
             lc = den.leading_term(DegRevLex(den.ring.arity))[0]
             if lc != 1:
                 num = num.scale(1 / lc)
@@ -238,15 +244,7 @@ class RationalFunction:
     def _reduced(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
         # caller guarantees the pair is already in lowest terms
         self = object.__new__(cls)
-        if not num:
-            den = Polynomial.constant(num.ring, 1)
-        else:
-            lc = den.leading_term(DegRevLex(den.ring.arity))[0]
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
-        self.num = num
-        self.den = den
+        self._canonical(num, den)
         return self
 
     @classmethod

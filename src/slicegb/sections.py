@@ -1,6 +1,6 @@
 """Cutting ideals with hyperplanes and putting them back together.
 
-A cut substitutes one variable (the pivot) by a combination of later
+A cut substitutes one variable (the pivot) by a combination of other
 variables plus a constant.  When no leading term of a basis involves the
 pivot, the substituted basis stays a basis on the slice; running this
 across many parallel slices and interpolating along the pivot recovers
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 import os
@@ -50,35 +49,17 @@ from .parsing import (
 )
 from .poly import Polynomial, compose, over_lcm
 from .ratfunc import RationalFunction, polynomial_lcm
-from .rings import PowerProduct, Ring, pp_divides, pp_insert
+from .rings import PowerProduct, Ring, pp_divides, pp_drop, pp_insert
 
 # -- linear forms ----------------------------------------------------
 
 
-def _check_cut(ring: Ring, pivot: int, tail: Sequence[Tuple[int, Fraction]], after_pivot: bool) -> None:
-    """Reject a cut whose pivot or tail index names no variable of the
-    ring, whose tail uses the pivot or a variable twice or has a zero
-    coefficient, or, with ``after_pivot``, whose tail uses a variable
-    listed before the pivot."""
-    if not 0 <= pivot < ring.arity:
-        raise ValueError("pivot index out of range")
-    if len({j for j, _ in tail}) != len(tail):
-        raise ValueError("repeated tail variable")
-    for j, c in tail:
-        if not 0 <= j < ring.arity:
-            raise ValueError("variable index out of range")
-        if after_pivot and j <= pivot:
-            raise ValueError("tail variables must come after the pivot")
-        if j == pivot:
-            raise ValueError("tail must avoid the pivot")
-        if not c:
-            raise ValueError("zero tail coefficient")
-
-
 @dataclass(frozen=True)
 class LinearForm:
-    """A cut ``x_i = sum c_j x_j + gamma`` where every tail variable
-    comes after the pivot in the ring listing."""
+    """A cut ``x_i = sum c_j x_j + gamma`` whose tail may use any
+    variable but the pivot; with ``gamma = 0`` it is homogeneous.  Where
+    a basis is sliced, the tail must sit below the pivot in its ordering
+    (``compatible_with``)."""
 
     ring: Ring
     pivot: int
@@ -86,7 +67,20 @@ class LinearForm:
     gamma: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        _check_cut(self.ring, self.pivot, self.tail, after_pivot=True)
+        """Reject a pivot or tail index that names no variable of the
+        ring, and a tail that uses the pivot or a variable twice or has
+        a zero coefficient."""
+        if not 0 <= self.pivot < self.ring.arity:
+            raise ValueError("pivot index out of range")
+        if len({j for j, _ in self.tail}) != len(self.tail):
+            raise ValueError("repeated tail variable")
+        for j, c in self.tail:
+            if not 0 <= j < self.ring.arity:
+                raise ValueError("variable index out of range")
+            if j == self.pivot:
+                raise ValueError("tail must avoid the pivot")
+            if not c:
+                raise ValueError("zero tail coefficient")
 
     @classmethod
     def of(cls, ring: Ring, pivot: str, tail: Optional[Dict[str, Fraction]] = None,
@@ -141,63 +135,11 @@ class LinearForm:
         return all(order.compare(unit(j), unit(self.pivot)) < 0 for j, _ in self.tail)
 
 
-@dataclass(frozen=True)
-class HomLinearForm:
-    """A homogeneous cut ``x_i = sum c_j x_j`` whose tail may use any
-    other variable; fits the shift-and-project route below."""
-
-    ring: Ring
-    pivot: int
-    coeffs: Tuple[Tuple[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        _check_cut(self.ring, self.pivot, self.coeffs, after_pivot=False)
-
-    @classmethod
-    def of(cls, ring: Ring, pivot: str,
-           coeffs: Optional[Dict[str, Fraction]] = None) -> "HomLinearForm":
-        pairs = tuple(sorted((ring.index(v), Fraction(c)) for v, c in (coeffs or {}).items()))
-        return cls(ring, ring.index(pivot), pairs)
-
-    @classmethod
-    def from_polynomial(cls, f: Polynomial, pivot: str) -> "HomLinearForm":
-        if not f or f.total_degree() != 1 or not f.is_homogeneous():
-            raise ValueError("a homogeneous cut needs a linear form with no constant term")
-        ring = f.ring
-        i = ring.index(pivot)
-        coeffs = [Fraction(0)] * ring.arity
-        for t, c in f.terms.items():
-            coeffs[t.index(1)] = c
-        lead = coeffs[i]
-        if not lead:
-            raise ValueError(f"{pivot} does not occur in the cut")
-        pairs = tuple((j, -coeffs[j] / lead) for j in range(ring.arity) if j != i and coeffs[j])
-        return cls(ring, i, pairs)
-
-    def replacement(self) -> Polynomial:
-        n = self.ring.arity
-        terms = {tuple(1 if k == j else 0 for k in range(n)): c for j, c in self.coeffs}
-        return Polynomial(self.ring, terms)
-
-    def shift(self, f: Polynomial) -> Polynomial:
-        """Triangular coordinate change sending the pivot to pivot + tail."""
-        pivot_var = Polynomial.variable(self.ring, self.ring.names[self.pivot])
-        return f.substitute(self.pivot, pivot_var + self.replacement())
-
-    def project(self, f: Polynomial) -> Polynomial:
-        """Set the pivot to zero and drop it from the ring."""
-        kept = {t: c for t, c in f.terms.items() if t[self.pivot] == 0}
-        return Polynomial(self.ring, kept).project_drop(self.pivot)
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        return f.substitute(self.pivot, self.replacement()).project_drop(self.pivot)
-
-
 # -- slicing a known basis -------------------------------------------
 
 
-def _check_cut_hypothesis(order: TermOrder, polys: Sequence[Polynomial], form: LinearForm,
-                          what: str) -> None:
+def _check_hypothesis(order: TermOrder, polys: Sequence[Polynomial], form: LinearForm,
+                      what: str) -> None:
     """The preconditions for slicing ``polys`` along ``form``: the cut's
     tail sits below its pivot in the ordering, every element is monic,
     and no leading term involves the pivot."""
@@ -224,34 +166,39 @@ def section_basis(gb: GroebnerBasis, form: LinearForm) -> GroebnerBasis:
     sliced basis need not be reduced, because a non-axis tail can
     introduce new lower terms.
     """
-    _check_cut_hypothesis(gb.order, gb.elements, form, "basis")
+    _check_hypothesis(gb.order, gb.elements, form, "basis")
     sub_order = gb.order.restrict(form.pivot)
     images = sorted((form.apply(g) for g in gb.elements),
                     key=lambda g: sub_order.key(g.leading_power_product(sub_order)))
     return GroebnerBasis(sub_order, tuple(images))
 
 
-def homogeneous_section_basis(ideal: Ideal, form: HomLinearForm, order: TermOrder) -> GroebnerBasis:
+def homogeneous_section_basis(ideal: Ideal, form: LinearForm, order: TermOrder) -> GroebnerBasis:
     """Reduced basis of the slice of a homogeneous ideal by any
     hyperplane through the origin, via shift, reduce, and project.
 
-    Requires a degree-reverse ordering pivoted at the cut variable (the
-    plain one qualifies when that variable is listed last).  For such an
+    Requires a cut with ``gamma = 0`` and an ordering with the rows of
+    the degree-reverse ordering pivoted at the cut variable (the plain
+    one qualifies when that variable is listed last).  For such an
     ordering a homogeneous reduced-basis element whose leading term
     involves the pivot is divisible by it outright, so projecting the
     shifted basis and dropping zeros yields the reduced basis downstairs.
     """
-    pivot_last = form.pivot == ideal.ring.arity - 1 and isinstance(order, DegRevLex)
-    pivoted = isinstance(order, PivotDegRev) and order.pivot == form.pivot
-    if not (pivot_last or pivoted):
+    i = form.pivot
+    if form.gamma:
+        raise ValueError("a homogeneous cut has no constant term")
+    if order.weights() != PivotDegRev(ideal.ring.arity, i).weights():
         raise ValueError("ordering must be degree-reverse pivoted at the cut variable")
     for g in ideal.generators:
         if not g.is_homogeneous():
             raise ValueError("generators must be homogeneous")
-    shifted = [form.shift(g) for g in ideal.generators]
-    basis = groebner_basis(order, shifted)
-    sub_order = order.restrict(form.pivot)
-    images = [form.project(g) for g in basis]
+    # the triangular coordinate change sending the pivot to pivot + tail
+    shift = Polynomial.variable(ideal.ring, ideal.ring.names[i]) + form.replacement()
+    basis = groebner_basis(order, [g.substitute(i, shift) for g in ideal.generators])
+    sub_order = order.restrict(i)
+    # setting the pivot to zero keeps the terms free of it
+    images = [Polynomial(form.sub_ring(), {pp_drop(t, i): c for t, c in g.terms.items() if not t[i]})
+              for g in basis]
     images = sorted((g for g in images if g),
                     key=lambda g: sub_order.key(g.leading_power_product(sub_order)))
     return GroebnerBasis(sub_order, tuple(images))
@@ -270,7 +217,7 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
     generates the ideal by construction.
     """
     cand = [g for g in candidate if g]
-    _check_cut_hypothesis(order, cand, form, "candidate")
+    _check_hypothesis(order, cand, form, "candidate")
     if not cand:
         raise ValueError("empty candidate")
     sub_order = order.restrict(form.pivot)
@@ -371,7 +318,9 @@ def _agrees(nodes: Sequence[Fraction], values: Sequence[Polynomial]) -> bool:
 
 @dataclass(frozen=True)
 class SliceFamily:
-    """Parallel cuts x_i = tail + gamma_k sharing one tail."""
+    """Parallel cuts x_i = tail + gamma_k sharing one tail, whose
+    variables come after the pivot in the ring listing, as slice files
+    spell it."""
 
     ring: Ring
     pivot: int
@@ -379,7 +328,9 @@ class SliceFamily:
     gammas: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        _check_cut(self.ring, self.pivot, self.tail, after_pivot=True)
+        LinearForm(self.ring, self.pivot, self.tail)
+        if any(j < self.pivot for j, _ in self.tail):
+            raise ValueError("tail variables must come after the pivot")
         if len(set(self.gammas)) != len(self.gammas):
             raise ValueError("slice constants must be distinct")
 
@@ -701,10 +652,6 @@ def parse_slice_json(data: dict) -> SliceFile:
     return SliceFile(SliceFamily.of(ring, pivot, [g for g, _, _ in slices], tail), order, bases)
 
 
-def load_slice_file(text: str) -> SliceFile:
-    return parse_slice_json(json.loads(text))
-
-
 # -- parametrization files -------------------------------------------
 
 
@@ -726,7 +673,3 @@ def parse_map_json(data: dict) -> MapFile:
     images = read_polynomials(param_ring, data["images"], coord_ring.arity)
     pivot = None if data.get("pivot") is None else read_variable(data["pivot"], coord_ring, "pivot")
     return MapFile(param_ring, coord_ring, images, pivot, read_order(data.get("order"), coord_ring))
-
-
-def load_map_file(text: str) -> MapFile:
-    return parse_map_json(json.loads(text))

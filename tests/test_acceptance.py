@@ -55,7 +55,6 @@ from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial, compose
 from slicegb.rings import ring
 from slicegb.sections import (
-    HomLinearForm,
     LinearForm,
     SliceFamily,
     common_lifting,
@@ -101,9 +100,10 @@ def test_01_homogeneous_sections():
     t0 = time.perf_counter()
     r = ring("x", "y", "z", "w")
     order = PivotDegRev(4, 2)
-    form = HomLinearForm.from_polynomial(p("z -3*y -w", r), "z")
+    form = LinearForm.of(r, "z", {"y": 3, "w": 1})
     gens = [p("z^2 -x*w", r), p("x^2*y -z*w^2", r)]
-    shifted = groebner_basis(order, [form.shift(g) for g in gens])
+    shift = Polynomial.variable(r, "z") + form.replacement()
+    shifted = groebner_basis(order, [g.substitute(2, shift) for g in gens])
     checks["shifted basis"] = strings(shifted) == [
         "y^2 -1/9*x*w +2/3*y*w +1/9*w^2 +2/3*y*z +2/9*z*w +1/9*z^2",
         "x^2*y -3*y*w^2 -w^3 -z*w^2",
@@ -136,7 +136,7 @@ def test_01_homogeneous_sections():
         "x0*x1^3*x3 -x0^2*x2^2*x3 +x0^4*x3",
     ]
     down4 = homogeneous_section_basis(
-        Ideal.of(r4, gens4), HomLinearForm.of(r4, "x0"), o4
+        Ideal.of(r4, gens4), LinearForm.of(r4, "x0"), o4
     )
     checks["vanishing element dropped"] = strings(down4) == ["x3^3", "x2^3", "x1^2*x2"]
     second = time.perf_counter() - t1

@@ -258,6 +258,31 @@ def test_hough_solution_past_the_int_text_limit(tmp_path, argv):
         assert out.endswith(f"solution: 1/{denominator}\n")
 
 
+def test_hough_point_past_the_int_text_limit(tmp_path):
+    # a coordinate of 5,000 digits reads exactly and puts a1 at it
+    family = tmp_path / "line_family.txt"
+    family.write_text("QQ[a1]\nQQ[x,y]\ny -a1*x\n")
+    nines = "9" * 5000
+    code, out, err = run("hough", f"--point=1,{nines}", str(family))
+    assert code == 0 and err == ""
+    assert out.endswith(f"solution: {nines}\n")
+
+
+def test_json_integers_past_the_int_text_limit(tmp_path):
+    # JSON integers of 5,000 digits: an ideal generator and a slice constant
+    nines = "9" * 5000
+    ideal = tmp_path / "constant.json"
+    ideal.write_text(f'{{"ring": "QQ[x]", "generators": [{nines}]}}')
+    assert run("gb", str(ideal)) == (0, "1\n", "")
+    slices = tmp_path / "slices.json"
+    slices.write_text(
+        '{"ring": "QQ[x,y]", "pivot": "x", "slices": [{"gamma": 0, "generators": ["y"]}, '
+        f'{{"gamma": {nines}, "generators": ["y -1"]}}]}}'
+    )
+    # the lift y - x/n takes y at x = 0 and y - 1 at x = n
+    assert run("common-lift", str(slices)) == (0, f"-1/{nines}*x +y\n", "")
+
+
 def test_reconstruct_surface():
     code, out, _ = run("reconstruct-surface", path("cubic_slices.json"))
     assert code == 0

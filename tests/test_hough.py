@@ -24,7 +24,6 @@ from slicegb.hough import (
     detect,
     generic_hough_dimension,
     hough_ideal,
-    load_detection_file,
     parse_detection_json,
     reconstruct_surface,
     solve_linear_hough,
@@ -483,7 +482,7 @@ def detection_doc():
 
 
 def test_detection_file_round_trip():
-    df = load_detection_file(json.dumps(detection_doc()))
+    df = parse_detection_json(json.loads(json.dumps(detection_doc())))
     assert df.pivot == "z"
     assert df.template.params == P4
     assert [g for g, _ in df.slices] == [0, 1, -1, 2]

@@ -10,6 +10,7 @@ from helpers import polynomials
 from slicegb.orders import DegRevLex, Lex
 from slicegb.parsing import (
     MAX_NESTING,
+    _integer,
     IdealFile,
     ParseError,
     format_polynomial,
@@ -296,6 +297,38 @@ def test_json_reads_integer_polynomials_and_numeric_rationals():
     for bad in (True, None, [1], "1/0", "nan", float("inf")):
         with pytest.raises(ParseError, match="bad constant"):
             read_rational(bad, "constant")
+
+
+@pytest.mark.parametrize("value", [
+    "3", "-3", "+3", " 3/4 ", "-6/8", "-0", "0/5", "3/4\n", "1.5", ".5", "-2.",
+    "1e3", "1E-2", "1_000", "1_0/2_5", "\u0663", "\u0663/4", 7, -7, 0.5, 1e20, -0.0,
+])
+def test_read_rational_reads_what_fraction_reads(value):
+    assert read_rational(value, "constant") == Fraction(str(value))
+
+
+@pytest.mark.parametrize("bad", ["3 /4", "3/-4", "--3", "3/", "/4", "0x10", "3/4/5", ""])
+def test_read_rational_refuses_what_fraction_refuses(bad):
+    with pytest.raises(ValueError):
+        Fraction(bad)
+    with pytest.raises(ParseError, match="bad constant"):
+        read_rational(bad, "constant")
+
+
+def test_rationals_and_json_integers_past_the_int_text_limit():
+    # Python converts at most 4300 decimal digits between int and text by
+    # default; a rational field or a JSON integer may be longer
+    n = 10**5000 - 1
+    nines = "9" * 5000
+    assert read_rational(nines, "constant") == n
+    assert read_rational(f" -{nines}/7 ", "constant") == Fraction(-n, 7)
+    assert read_rational(f"+1/{nines}", "constant") == Fraction(1, n)
+    assert read_rational(n, "constant") == n
+    assert _integer("-" + nines) == -n
+    parsed = parse_ideal_json({"ring": "QQ[x]", "generators": [-n, "x"]})
+    assert parsed.generators == [Polynomial.constant(ring("x"), -n), parse_polynomial(ring("x"), "x")]
+    with pytest.raises(ParseError, match="bad constant"):
+        read_rational(f"1/{'0' * 5000}", "constant")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -1,4 +1,5 @@
 import itertools
+import json
 import multiprocessing
 import random
 import time
@@ -19,13 +20,12 @@ from slicegb.errors import (
     ZeroDivisor,
 )
 from slicegb.groebner import Ideal, groebner_basis, is_member
-from slicegb.orders import DegRevLex, Lex, PivotDegRev, degrevlex, lex
+from slicegb.orders import DegRevLex, Elim, Lex, PivotDegRev, degrevlex, lex
 from slicegb.parsing import ParseError, format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial, compose
 from slicegb import sections
 from slicegb.rings import ring
 from slicegb.sections import (
-    HomLinearForm,
     LinearForm,
     SliceFamily,
     common_lifting,
@@ -33,8 +33,8 @@ from slicegb.sections import (
     homogeneous_section_basis,
     implicitize,
     lagrange_coefficients,
-    load_slice_file,
     map_slices,
+    parse_slice_json,
     reconstruct_basis,
     section_basis,
     verify_lifting,
@@ -76,21 +76,30 @@ def test_linear_form_rejects_bad_input():
     with pytest.raises(ValueError):
         LinearForm.from_polynomial(Polynomial.zero(r))
     with pytest.raises(ValueError):
-        # tail variable before the pivot
-        LinearForm.of(r, "z", {"x": Fraction(1)})
+        # tail on the pivot itself
+        LinearForm.of(r, "z", {"z": Fraction(1)})
+
+
+def test_linear_form_takes_a_tail_before_the_pivot():
+    # any variable but the pivot may sit in the tail; the ordering is
+    # checked only where a basis is sliced
+    r = ring("x", "y", "z")
+    form = LinearForm.of(r, "z", {"x": Fraction(2)}, gamma=Fraction(1))
+    assert form.tail == ((0, Fraction(2)),)
+    assert form.apply(p("z^2 -y", r)) == p("4*x^2 +4*x -y +1", form.sub_ring())
 
 
 @pytest.mark.parametrize("make", [
-    lambda: HomLinearForm(R3, 0, ((5, Fraction(1)),)),
-    lambda: HomLinearForm(R3, 0, ((-1, Fraction(1)),)),
-    lambda: HomLinearForm(R3, 3, ()),
+    lambda: LinearForm(R3, 0, ((5, Fraction(1)),)),
+    lambda: LinearForm(R3, 0, ((-1, Fraction(1)),)),
+    lambda: LinearForm(R3, 3, ()),
     lambda: LinearForm(R3, 0, ((3, Fraction(1)),)),
     lambda: LinearForm(R3, 0, ((1, Fraction(0)),)),
     lambda: SliceFamily(R3, 7, (), (Fraction(1), Fraction(2))),
     lambda: SliceFamily(R3, 0, ((5, Fraction(1)),), (Fraction(1), Fraction(2))),
     lambda: SliceFamily.of(R2, "x", [1, 2], {"y": 0}),
     lambda: SliceFamily.of(R3, "y", [1, 2], {"x": 1}),
-    lambda: HomLinearForm(R3, 0, ((1, Fraction(1)), (1, Fraction(2)))),
+    lambda: LinearForm(R3, 2, ((1, Fraction(1)), (1, Fraction(2)))),
     lambda: LinearForm(R3, 0, ((1, Fraction(1)), (1, Fraction(2)))),
     lambda: SliceFamily(R3, 0, ((1, Fraction(1)), (1, Fraction(2))), (Fraction(1),)),
 ], ids=["hom-tail-past-arity", "hom-negative-tail", "hom-pivot-past-arity",
@@ -119,15 +128,19 @@ def test_compatible_with_depends_on_order():
 
 
 def test_hom_linear_form_requires_named_pivot():
+    # a homogeneous cut is a LinearForm with gamma = 0, its pivot named
     r = ring("x", "y", "z")
-    form = HomLinearForm.from_polynomial(p("z -x -y", r), "z")
-    assert form.coeffs == ((0, Fraction(1)), (1, Fraction(1)))
+    form = LinearForm.of(r, "z", {"x": 1, "y": 1})
+    assert form.tail == ((0, Fraction(1)), (1, Fraction(1)))
+    assert form.gamma == 0
     with pytest.raises(KeyError):
-        HomLinearForm.from_polynomial(p("z -x -y", r), "w")
+        LinearForm.of(r, "w", {"x": 1, "y": 1})
     with pytest.raises(ValueError):
-        HomLinearForm.from_polynomial(p("x -y", r), "z")
+        LinearForm.of(r, "z", {"x": 1, "z": 1})
     with pytest.raises(ValueError):
-        HomLinearForm.from_polynomial(p("x -y +1", r), "x")
+        homogeneous_section_basis(
+            Ideal.of(r, [p("x^2 -y*z", r)]), LinearForm.of(r, "x", {"y": 1}, gamma=1), PivotDegRev(3, 0)
+        )
 
 
 # -- homogeneous sections --------------------------------------------
@@ -153,8 +166,9 @@ SECTION_BASIS = [
 
 def test_homogeneous_shift_basis():
     order = PivotDegRev(4, 2)
-    form = HomLinearForm.from_polynomial(p("z -3*y -w", RXYZW), "z")
-    shifted = [form.shift(g) for g in (p("z^2 -x*w", RXYZW), p("x^2*y -z*w^2", RXYZW))]
+    form = LinearForm.of(RXYZW, "z", {"y": 3, "w": 1})
+    shift = Polynomial.variable(RXYZW, "z") + form.replacement()
+    shifted = [g.substitute(2, shift) for g in (p("z^2 -x*w", RXYZW), p("x^2*y -z*w^2", RXYZW))]
     assert format_polynomial(order, shifted[0]) in (
         "9*y^2 -x*w +6*y*w +w^2 +6*y*z +2*z*w +z^2",
     )
@@ -165,7 +179,7 @@ def test_homogeneous_shift_basis():
 
 def test_homogeneous_section_matches_projection():
     order = PivotDegRev(4, 2)
-    form = HomLinearForm.from_polynomial(p("z -3*y -w", RXYZW), "z")
+    form = LinearForm.of(RXYZW, "z", {"y": 3, "w": 1})
     ideal = Ideal.of(RXYZW, [p("z^2 -x*w", RXYZW), p("x^2*y -z*w^2", RXYZW)])
     down = homogeneous_section_basis(ideal, form, order)
     assert strings(down) == SECTION_BASIS
@@ -192,20 +206,39 @@ def test_homogeneous_section_axis_cut_drops_zero():
         "x1^2*x2 -x0^2*x3",
         "x0*x1^3*x3 -x0^2*x2^2*x3 +x0^4*x3",
     ]
-    form = HomLinearForm.of(r, "x0")
+    form = LinearForm.of(r, "x0")
     down = homogeneous_section_basis(Ideal.of(r, gens), form, order)
     assert strings(down) == ["x3^3", "x2^3", "x1^2*x2"]
 
 
 def test_homogeneous_section_rejects_wrong_order():
     ideal = Ideal.of(R3, [p("x^2 -y*z", R3)])
-    form = HomLinearForm.of(R3, "x")
+    form = LinearForm.of(R3, "x")
     with pytest.raises(ValueError):
         homogeneous_section_basis(ideal, form, DegRevLex(3))
     with pytest.raises(ValueError):
         homogeneous_section_basis(
-            Ideal.of(R3, [p("x^2 -y", R3)]), HomLinearForm.of(R3, "z"), DegRevLex(3)
+            Ideal.of(R3, [p("x^2 -y", R3)]), LinearForm.of(R3, "z"), DegRevLex(3)
         )
+
+
+def test_homogeneous_section_rejects_a_constant_term():
+    ideal = Ideal.of(RXYZW, [p("z^2 -x*w", RXYZW), p("x^2*y -z*w^2", RXYZW)])
+    form = LinearForm.of(RXYZW, "z", {"y": 3, "w": 1}, gamma=Fraction(1, 2))
+    with pytest.raises(ValueError, match="constant term"):
+        homogeneous_section_basis(ideal, form, PivotDegRev(4, 2))
+
+
+@pytest.mark.parametrize("order", [DegRevLex(4), PivotDegRev(4, 3), Elim(4, ())],
+                         ids=["degrevlex", "pivotdegrev", "elim-empty"])
+def test_homogeneous_section_accepts_the_pivoted_rows(order):
+    # every ordering with the rows of the degree-reverse ordering
+    # pivoted at w slices alike
+    ideal = Ideal.of(RXYZW, [p("z^2 -x*w", RXYZW), p("x^2*y -z*w^2", RXYZW)])
+    form = LinearForm.of(RXYZW, "w", {"x": 1, "z": -2})
+    down = homogeneous_section_basis(ideal, form, order)
+    direct = groebner_basis(down.order, [form.apply(g) for g in ideal.generators])
+    assert list(down.elements) == list(direct.elements)
 
 
 # -- slicing and lifting ---------------------------------------------
@@ -249,6 +282,30 @@ def test_section_basis_oblique_cut_loses_reducedness():
     assert strings(sliced) == ["x3^2 -1", "x2^3 -x3^2"]
     assert sliced.is_minimal
     assert not sliced.is_reduced
+
+
+def test_section_basis_takes_a_tail_before_the_pivot_below_it():
+    # under the ordering pivoted at x, x sits below z although it is
+    # listed first; the slice is what substituting and recomputing gives
+    r = ring("x", "y", "z")
+    order = PivotDegRev(3, 0)
+    gb = groebner_basis(order, [p("y^2 -x*z", r), p("x^3 -z^2", r)])
+    assert strings(gb) == ["y^2 -x*z", "x^3 -z^2"]
+    form = LinearForm.of(r, "z", {"x": Fraction(2)}, gamma=Fraction(-1))
+    assert form.compatible_with(order)
+    sliced = section_basis(gb, form)
+    direct = groebner_basis(sliced.order, [form.apply(g) for g in gb])
+    assert groebner_basis(sliced.order, list(sliced.elements)).elements == direct.elements
+
+
+def test_section_basis_rejects_a_tail_before_the_pivot_above_it():
+    # under degrevlex the earlier x sits above z, so the tail is refused
+    r = ring("x", "y", "z")
+    order = degrevlex(r)
+    gb = groebner_basis(order, [p("y^2 -x", r), p("x*y -1", r)])
+    form = LinearForm.of(r, "z", {"x": Fraction(1)})
+    with pytest.raises(ValueError, match="below the pivot"):
+        section_basis(gb, form)
 
 
 def test_verify_lifting_round_trip():
@@ -813,7 +870,7 @@ def test_load_slice_file():
      "slices": [{"gamma": "2", "generators": ["x^2 +z^2 +8"]},
                 {"gamma": "-2", "generators": ["x^2 +z^2 +216"]}]}
     """
-    out = load_slice_file(text)
+    out = parse_slice_json(json.loads(text))
     assert out.family.pivot == 1
     assert out.family.gammas == (Fraction(2), Fraction(-2))
     assert out.order == lex(R3)
@@ -825,7 +882,7 @@ def test_load_slice_file_with_tail():
     {"ring": "QQ[x,y]", "pivot": "x", "tail": {"y": "1/2"},
      "slices": [{"gamma": 0, "generators": ["y"]}]}
     """
-    out = load_slice_file(text)
+    out = parse_slice_json(json.loads(text))
     assert out.family.tail == ((1, Fraction(1, 2)),)
     assert out.order == degrevlex(R2)
 
@@ -841,11 +898,12 @@ def test_load_slice_file_with_tail():
         '{"ring": "QQ[x,y]", "pivot": "x", "tail": [1], "slices": [{"gamma": "1", "generators": ["y"]}]}',
         '{"ring": "QQ[x,y]", "pivot": "x", "order": 5, "slices": [{"gamma": "1", "generators": ["y"]}]}',
         '{"ring": "QQ[x,y]", "pivot": "x", "slices": [{"gamma": "1", "generators": "y"}]}',
+        '{"ring": "QQ[x,y]", "pivot": "y", "tail": {"x": 1}, "slices": [{"gamma": "1", "generators": ["x"]}]}',
     ],
 )
 def test_load_slice_file_errors(text):
     with pytest.raises((ParseError, KeyError, ValueError)):
-        load_slice_file(text)
+        parse_slice_json(json.loads(text))
 
 
 # -- section and lift round trip on random ideals --------------------
