@@ -358,9 +358,9 @@ def read_variable(value, ring: Ring, what: str, fresh: bool = False) -> str:
     return value
 
 
-# the integer and integer-ratio spellings that ``Fraction`` reads; their
+# the integer, ratio and decimal spellings that ``Fraction`` reads; their
 # digit runs are read with ``_integer``, so they may be of any length
-_RATIO = re.compile(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*")
+_RATIO = re.compile(r"\s*([-+]?)(?=\.?\d)(\d*)(?:/(\d+)|\.(\d*))?\s*")
 
 
 def read_rational(value, what: str) -> Fraction:
@@ -373,8 +373,10 @@ def read_rational(value, what: str) -> Fraction:
             m = _RATIO.fullmatch(value) if isinstance(value, str) else None
             if m is None:
                 return Fraction(str(value))
-            q = Fraction(_integer(m[2]), _integer(m[3] or "1"))
-            return -q if m[1] == "-" else q
+            sign, whole, den, decimals = m.groups()
+            decimals = decimals or ""
+            q = Fraction(_integer(whole + decimals), _integer(den) if den else 10 ** len(decimals))
+            return -q if sign == "-" else q
         except (ValueError, ZeroDivisionError):
             pass
     raise _reject(f"bad {what}", value)

@@ -300,14 +300,14 @@ def test_json_reads_integer_polynomials_and_numeric_rationals():
 
 
 @pytest.mark.parametrize("value", [
-    "3", "-3", "+3", " 3/4 ", "-6/8", "-0", "0/5", "3/4\n", "1.5", ".5", "-2.",
+    "3", "-3", "+3", " 3/4 ", "-6/8", "-0", "0/5", "3/4\n", "1.5", ".5", "-2.", "+.25", "-0.0", "007.50",
     "1e3", "1E-2", "1_000", "1_0/2_5", "\u0663", "\u0663/4", 7, -7, 0.5, 1e20, -0.0,
 ])
 def test_read_rational_reads_what_fraction_reads(value):
     assert read_rational(value, "constant") == Fraction(str(value))
 
 
-@pytest.mark.parametrize("bad", ["3 /4", "3/-4", "--3", "3/", "/4", "0x10", "3/4/5", ""])
+@pytest.mark.parametrize("bad", ["3 /4", "3/-4", "--3", "3/", "/4", "0x10", "3/4/5", "", ".", "-.", "1.2/3", "1/2.", "1..2"])
 def test_read_rational_refuses_what_fraction_refuses(bad):
     with pytest.raises(ValueError):
         Fraction(bad)
@@ -323,6 +323,7 @@ def test_rationals_and_json_integers_past_the_int_text_limit():
     assert read_rational(nines, "constant") == n
     assert read_rational(f" -{nines}/7 ", "constant") == Fraction(-n, 7)
     assert read_rational(f"+1/{nines}", "constant") == Fraction(1, n)
+    assert read_rational(f"-0.{nines}", "constant") == Fraction(-n, n + 1)
     assert read_rational(n, "constant") == n
     assert _integer("-" + nines) == -n
     parsed = parse_ideal_json({"ring": "QQ[x]", "generators": [-n, "x"]})
