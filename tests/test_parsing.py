@@ -307,7 +307,9 @@ def test_read_rational_reads_what_fraction_reads(value):
     assert read_rational(value, "constant") == Fraction(str(value))
 
 
-@pytest.mark.parametrize("bad", ["3 /4", "3/-4", "--3", "3/", "/4", "0x10", "3/4/5", "", ".", "-.", "1.2/3", "1/2.", "1..2"])
+@pytest.mark.parametrize("bad", [
+    "3 /4", "3/-4", "--3", "3/", "/4", "0x10", "3/4/5", "", ".", "-.", "1.2/3", "1/2.", "1..2",
+])
 def test_read_rational_refuses_what_fraction_refuses(bad):
     with pytest.raises(ValueError):
         Fraction(bad)
