@@ -7,7 +7,7 @@ from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import fractions, nonzero_polynomials, polynomials
@@ -24,7 +24,7 @@ from slicegb.orders import DegRevLex, Elim, Lex, PivotDegRev, degrevlex, lex
 from slicegb.parsing import ParseError, format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial, compose
 from slicegb import sections
-from slicegb.rings import ring
+from slicegb.rings import pp_drop, ring
 from slicegb.sections import (
     LinearForm,
     SliceFamily,
@@ -685,8 +685,50 @@ def test_implicitize_nonprincipal():
         implicitize(par2, coords, [p("1", par2), p("2", par2), p("3", par2)])
 
 
+# images of 1-2 terms of degree <= 2 in s, t, the constant included
+MAP_MONOMIALS = ["1", "s", "t", "s^2", "s*t", "t^2"]
+map_images = st.lists(
+    st.tuples(st.sampled_from(MAP_MONOMIALS), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    min_size=1, max_size=2, unique_by=lambda term: term[0],
+).map(lambda terms: " ".join(f"{c:+d}*{m}" for m, c in terms).lstrip("+"))
 
-PINCH = (["u", "v"], ["u*v", "u", "v^2"])
+
+def leading_coefficient_involves(f, i):
+    """Whether the leading coefficient of ``f``, viewed over its part
+    without variable ``i`` under the ordering pivoted at ``i`` with ``i``
+    deleted, involves variable ``i``."""
+    sub = PivotDegRev(f.ring.arity, i).restrict(i)
+    lead = max((pp_drop(t, i) for t in f.terms), key=sub.key)
+    return any(t[i] for t in f.terms if pp_drop(t, i) == lead)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.tuples(map_images, map_images, map_images))
+# the two give-ups of slice mode on a seeded sample of such maps, pivot z
+@example(("-s", "-2*s -2*s*t", "-t"))
+@example(("2*t -s^2", "-2*s*t", "-3*s"))
+def test_slice_mode_matches_eliminate_mode_on_small_maps(texts):
+    # slice mode prints eliminate mode's equation up to sign at every
+    # pivot with a nonconstant image, or gives up where the equation's
+    # leading coefficient away from the pivot involves the pivot
+    par, coords = ring("s", "t"), ring("x", "y", "z")
+    images = [p(text, par) for text in texts]
+    try:
+        equation = implicitize(par, coords, images)
+    except NonPrincipal:
+        return
+    for i, name in enumerate(coords.names):
+        if images[i].is_constant():
+            continue
+        try:
+            sliced = implicitize(par, coords, images, mode="slice", pivot=name)
+        except RetryLimitExceeded:
+            assert leading_coefficient_involves(equation, i), (texts, name)
+            continue
+        assert sliced in (equation, -equation), (texts, name)
+
+
+PINCH =(["u", "v"], ["u*v", "u", "v^2"])
 # the slice z = -2 is the parameter line s = 0, which maps to a point
 POINT_SLICE = (["s", "t"], ["s*t", "s*t^2", "s -2"])
 
