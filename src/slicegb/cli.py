@@ -76,7 +76,12 @@ def _seconds(text: str) -> float:
 
 @contextmanager
 def _deadline(seconds: Optional[float]):
-    """Abort the wrapped computation after a wall-clock budget."""
+    """Abort the wrapped computation after a wall-clock budget.
+
+    The alarm raises wherever the main thread is.  Where Python only
+    reports an error and goes on (a ``gc`` callback, a ``__del__``), the
+    report reaches ``sys.unraisablehook``, which sounds the alarm again a
+    millisecond later, once the hook has returned."""
     if not seconds:
         yield
         return
@@ -84,12 +89,19 @@ def _deadline(seconds: Optional[float]):
     def expire(signum, frame):
         raise ResourceLimit(f"timed out after {seconds:g}s")
 
+    def refire(unraisable):
+        report(unraisable)
+        if isinstance(unraisable.exc_value, ResourceLimit):
+            signal.setitimer(signal.ITIMER_REAL, 0.001)
+
     previous = signal.signal(signal.SIGALRM, expire)
+    report, sys.unraisablehook = sys.unraisablehook, refire
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
+        sys.unraisablehook = report
         signal.signal(signal.SIGALRM, previous)
 
 
@@ -249,26 +261,27 @@ def _cmd_lift(args) -> int:
 
 def _cmd_common_lift(args) -> int:
     sf = parse_slice_json(_json(args.file))
-    order = order_by_name(sf.family.ring, args.order) if args.order else sf.order
+    order = _resolve_order(sf.slices[0][0].ring, args.order, sf.order_name)
     values = []
-    for k, base in enumerate(sf.slice_bases):
+    for k, (form, base) in enumerate(sf.slices):
         good = [g for g in base if g]
         if len(good) != 1:
             raise ValueError(f"slice {k + 1} must carry exactly one polynomial")
-        values.append(good[0])
-    lifted = common_lifting(sf.family, values)
+        values.append((form, good[0]))
+    lifted = common_lifting(values)
     text = format_polynomial(order, lifted)
     return _emit(args, {"polynomial": text}, [text])
 
 
 def _cmd_reconstruct(args) -> int:
     sf = parse_slice_json(_json(args.file))
-    order = order_by_name(sf.family.ring, args.order) if args.order else sf.order
-    basis = reconstruct_basis(sf.family, sf.slice_bases, order)
+    ring = sf.slices[0][0].ring
+    order = _resolve_order(ring, args.order, sf.order_name)
+    basis = reconstruct_basis(sf.slices, order)
     print("note: lifted basis not membership-checked", file=sys.stderr)
     strs = _poly_lines(order, basis)
     payload = {
-        "ring": list(sf.family.ring.names),
+        "ring": list(ring.names),
         "generators": strs,
         "certified": False,
     }
@@ -397,12 +410,9 @@ def _cmd_detect(args) -> int:
 
 def _cmd_reconstruct_surface(args) -> int:
     df = parse_detection_json(_json(args.file))
-    full = Ring(df.template.ring.names + (df.pivot,))
-    name = args.order or df.order_name
-    order = order_by_name(full, name) if name else None
+    order = _resolve_order(Ring(df.template.ring.names + (df.pivot,)), args.order, df.order_name)
     f = reconstruct_surface(df.template, df.pivot, df.slices, order=order, jobs=args.jobs)
-    display = order if order is not None else DegRevLex(full.arity)
-    text = format_polynomial(display, f)
+    text = format_polynomial(order, f)
     return _emit(args, {"polynomial": text}, [text])
 
 

@@ -764,16 +764,8 @@ def colon_ideal(ideal: Ideal, f: Polynomial) -> Ideal:
     return Ideal.of(ideal.ring, [exact_divide(g, f) for g in meet.generators])
 
 
-def zero_divisor_witness(ideal: Ideal, f: Polynomial, order: TermOrder = None) -> Optional[Polynomial]:
-    """A polynomial outside the ideal with product inside, or None when
-    ``f`` is a non-zero-divisor on the quotient ring."""
-    if order is None:
-        order = DegRevLex(ideal.ring.arity)
-    quotient = colon_ideal(ideal, f)
-    if quotient.is_zero:
-        return None
-    basis = groebner_basis(order, ideal.generators)
-    for g in quotient.generators:
-        if normal_form(order, g, basis.elements):
-            return g
-    return None
+def zero_divisor_witness(basis: GroebnerBasis, f: Polynomial) -> Optional[Polynomial]:
+    """A polynomial outside the ideal of ``basis`` with product inside,
+    or None when ``f`` is a non-zero-divisor on the quotient ring."""
+    quotient = colon_ideal(Ideal.of(f.ring, basis.elements), f)
+    return next((g for g in quotient.generators if not is_member(g, basis)), None)

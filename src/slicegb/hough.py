@@ -26,7 +26,7 @@ from .orders import DegRevLex, TermOrder
 from .parsing import read_list, read_object, read_polynomial, read_rational, read_slices, read_variable
 from .poly import Polynomial
 from .rings import Ring, pp_degree, pp_one
-from .sections import SliceFamily, map_slices, reconstruct_basis
+from .sections import LinearForm, map_slices, reconstruct_basis
 
 Point = Tuple[Fraction, ...]
 
@@ -44,20 +44,6 @@ class HoughResult:
     @property
     def empty(self) -> bool:
         return self.dimension == -1
-
-
-def _at_point(g: Polynomial, point: Point, params: Ring) -> Polynomial:
-    """Evaluate the variable part of a split generator, leaving a
-    polynomial in the parameters."""
-    total = Polynomial.zero(params)
-    for t, c in g.terms.items():
-        scale = Fraction(1)
-        for v, e in zip(point, t):
-            if e:
-                scale = scale * v ** e
-        if scale:
-            total = total + c.scale(scale)
-    return total
 
 
 def _rational_point(params: Ring, basis) -> Optional[Point]:
@@ -103,7 +89,7 @@ def _check_point(fam: Family, point) -> Point:
 def hough_ideal(fam: Family, point) -> HoughResult:
     """The locus of parameter choices whose fiber contains the point."""
     p = _check_point(fam, point)
-    return _parameter_locus(fam.params, [_at_point(g, p, fam.params) for g in fam.generators])
+    return _parameter_locus(fam.params, [g.evaluate(p) for g in fam.generators])
 
 
 def generic_hough_dimension(fam: Family) -> int:
@@ -154,9 +140,7 @@ def detect(fam: Family, points) -> HoughResult:
     checked against every input point; when no member passes through
     every point the locus is empty."""
     pts = [_check_point(fam, p) for p in points]
-    conditions = [
-        _at_point(g, p, fam.params) for p in pts for g in fam.generators
-    ]
+    conditions = [g.evaluate(p) for p in pts for g in fam.generators]
     locus = _parameter_locus(fam.params, conditions)
     if locus.solution is not None:
         fiber = specialize_family(fam, locus.solution)
@@ -227,13 +211,13 @@ def reconstruct_surface(
         raise ValueError("surface reconstruction needs a single-generator template")
     _assert_linear(template)
     full = Ring(template.ring.names + (pivot,))
-    data = [(Fraction(g), d) for g, d in slices]
-    family = SliceFamily.of(full, pivot, [g for g, _ in data])
+    forms = [LinearForm.of(full, pivot, gamma=g) for g, _ in slices]
     if order is None:
         order = DegRevLex(full.arity)
-    with closing(map_slices(_slice_curve, [(template, *s) for s in data], jobs)) as found:
-        curves = [[c] for c in found]
-    return reconstruct_basis(family, curves, order).elements[0]
+    work = [(template, form.gamma, d) for form, (_, d) in zip(forms, slices)]
+    with closing(map_slices(_slice_curve, work, jobs)) as found:
+        curves = [(form, [c]) for form, c in zip(forms, found)]
+    return reconstruct_basis(curves, order).elements[0]
 
 
 # -- detection files -------------------------------------------------

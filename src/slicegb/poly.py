@@ -278,17 +278,21 @@ class Polynomial:
         return _from_numerators(self.ring, terms, den * vden ** top)
 
     def evaluate(self, values: Iterable) -> object:
-        """Full evaluation at a point; returns a coefficient-field element."""
+        """Full evaluation at a point: the sum of each coefficient times
+        the product of the point's powers at its term, one product per
+        coefficient, so a parameter-polynomial or rational-function
+        coefficient gives a value of its own kind."""
         vals = list(values)
         if len(vals) != self.ring.arity:
             raise ValueError("wrong number of values")
         total = Fraction(0)
         for t, c in self.terms.items():
-            acc = c
+            scale = 1
             for v, e in zip(vals, t):
                 if e:
-                    acc = acc * v ** e
-            total = total + acc
+                    scale = scale * v ** e
+            if scale:
+                total = total + c * scale
         return total
 
     def project_drop(self, i: int) -> "Polynomial":

@@ -16,9 +16,9 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     HypothesisViolation,
@@ -37,7 +37,7 @@ from .groebner import (
     is_member,
     zero_divisor_witness,
 )
-from .orders import DegRevLex, PivotDegRev, TermOrder, order_by_name
+from .orders import DegRevLex, PivotDegRev, TermOrder
 from .parsing import (
     read_object,
     read_order,
@@ -212,9 +212,8 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
     Checks, in order: leading terms avoid the pivot; the sliced
     candidate covers every leading term of the sliced ideal; the cut is
     a non-zero-divisor modulo the ideal; the candidate lies inside the
-    ideal.  Together these force the candidate to be a basis upstairs,
-    without ever running a basis computation there when the candidate
-    generates the ideal by construction.
+    ideal.  Together these force the candidate to be a basis upstairs.
+    One reduced basis of the ideal serves the last two checks.
     """
     cand = [g for g in candidate if g]
     _check_hypothesis(order, cand, form, "candidate")
@@ -230,18 +229,13 @@ def verify_lifting(ideal: Ideal, candidate: Sequence[Polynomial], form: LinearFo
             raise HypothesisViolation(
                 "sliced candidate misses a leading term of the sliced ideal", offending=[d]
             )
-    witness = zero_divisor_witness(ideal, form.as_polynomial(), order)
+    upstairs = groebner_basis(order, ideal.generators)
+    witness = zero_divisor_witness(upstairs, form.as_polynomial())
     if witness is not None:
         raise ZeroDivisor("the cut divides zero modulo the ideal", witness=witness)
-    # Membership is free when each candidate element is a rescaled
-    # generator; only oblique candidates pay for a basis upstairs.
-    scaled_gens = [g.monic(order) for g in ideal.generators if g]
-    strays = [g for g in cand if g not in scaled_gens]
-    if strays:
-        upstairs = groebner_basis(order, ideal.generators)
-        outside = [g for g in strays if not is_member(g, upstairs)]
-        if outside:
-            raise ValueError(f"{len(outside)} candidate element(s) lie outside the ideal")
+    outside = [g for g in cand if not is_member(g, upstairs)]
+    if outside:
+        raise ValueError(f"{len(outside)} candidate element(s) lie outside the ideal")
     ordered = sorted(cand, key=lambda g: order.key(g.leading_power_product(order)))
     return GroebnerBasis(order, tuple(ordered))
 
@@ -303,53 +297,39 @@ def _columns(values: Sequence[Polynomial]) -> Tuple[List[PowerProduct], List[Lis
     return terms, [[row.get(t, 0) for row in rows] for t in terms], den
 
 
-def _agrees(nodes: Sequence[Fraction], values: Sequence[Polynomial]) -> bool:
+def _agrees(slices: Sequence[Tuple[LinearForm, Polynomial]]) -> bool:
     """True when, term by term, the interpolant along the pivot of all
-    but the last slice already takes the last slice value ``values[-1]``
-    at ``nodes[-1]``.  That holds exactly when the interpolant of all the
-    slices has no term of degree ``len(nodes) - 1`` in the pivot, whose
-    coefficient is the top divided difference of Newton's form: the last
-    row of the Lagrange basis dotted with each column.  A single nonzero
-    slice value never agrees."""
-    top = _lagrange_basis(nodes)[0][-1]
-    _, columns, _ = _columns(values)
+    but the last of the parallel ``(form, value)`` slices already takes
+    the last slice's value at its constant.  That holds exactly when the
+    interpolant of all the slices has no term of degree ``len(slices) - 1``
+    in the pivot, whose coefficient is the top divided difference of
+    Newton's form: the last row of the Lagrange basis dotted with each
+    column.  A single nonzero slice value never agrees."""
+    top = _lagrange_basis([form.gamma for form, _ in slices])[0][-1]
+    _, columns, _ = _columns([v for _, v in slices])
     return not any(sum(map(operator.mul, top, col)) for col in columns)
 
 
-@dataclass(frozen=True)
-class SliceFamily:
-    """Parallel cuts x_i = tail + gamma_k sharing one tail, whose
-    variables come after the pivot in the ring listing, as slice files
-    spell it."""
-
-    ring: Ring
-    pivot: int
-    tail: Tuple[Tuple[int, Fraction], ...]
-    gammas: Tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        LinearForm(self.ring, self.pivot, self.tail)
-        if any(j < self.pivot for j, _ in self.tail):
-            raise ValueError("tail variables must come after the pivot")
-        if len(set(self.gammas)) != len(self.gammas):
-            raise ValueError("slice constants must be distinct")
-
-    @classmethod
-    def of(cls, ring: Ring, pivot: str, gammas: Iterable,
-           tail: Optional[Dict[str, Fraction]] = None) -> "SliceFamily":
-        pairs = tuple(sorted((ring.index(v), Fraction(c)) for v, c in (tail or {}).items()))
-        return cls(ring, ring.index(pivot), pairs, tuple(Fraction(g) for g in gammas))
-
-    def forms(self) -> List[LinearForm]:
-        return [LinearForm(self.ring, self.pivot, self.tail, g) for g in self.gammas]
-
-    def sub_ring(self) -> Ring:
-        return self.ring.drop(self.pivot)
+def _shared_cut(slices) -> Tuple[LinearForm, List[Fraction]]:
+    """The cut that the ``(form, data)`` pairs of parallel slices share,
+    with constant 0, and their constants in order.  Refuses no slices,
+    forms that differ in ring, pivot or tail, and a repeated constant."""
+    if not slices:
+        raise ValueError("no slices given")
+    cuts = {replace(form, gamma=Fraction(0)) for form, _ in slices}
+    if len(cuts) != 1:
+        raise ValueError("parallel slices must share one ring, pivot and tail")
+    gammas = [form.gamma for form, _ in slices]
+    if len(set(gammas)) != len(gammas):
+        raise ValueError("slice constants must be distinct")
+    (cut,) = cuts
+    return cut, gammas
 
 
-def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynomial:
+def common_lifting(slices: Sequence[Tuple[LinearForm, Polynomial]]) -> Polynomial:
     """The unique polynomial of pivot-degree < N restricting to the
-    given value on each of the N slices.
+    given value on each of the N parallel slices, given as pairs of the
+    slice's cut x_i = tail + gamma_k and its value.
 
     The shared tail is absorbed into a triangular change of coordinates,
     after which each slice pins the pivot to a constant and every
@@ -364,16 +344,16 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
     basis denominator times S^top.  Undoing the shear maps the slice
     pivot = gamma onto the cut pivot = tail + gamma exactly.
     """
-    if len(values) != len(family.gammas):
-        raise ValueError("one slice value per slice constant required")
-    sub = family.sub_ring()
+    cut, gammas = _shared_cut(slices)
+    values = [v for _, v in slices]
+    sub = cut.sub_ring()
     for v in values:
         if v.ring != sub:
             raise ValueError("slice values must live in the ring without the pivot")
-    ring = family.ring
-    i = family.pivot
-    rows, den_basis = _lagrange_basis(family.gammas)
-    nodes, scale = over_lcm(family.gammas)
+    ring = cut.ring
+    i = cut.pivot
+    rows, den_basis = _lagrange_basis(gammas)
+    nodes, scale = over_lcm(gammas)
     slice_terms, columns, den = _columns(values)
     whole = den * den_basis
     terms: Dict[PowerProduct, Fraction] = {}
@@ -391,20 +371,19 @@ def common_lifting(family: SliceFamily, values: Sequence[Polynomial]) -> Polynom
             if c:
                 terms[pp_insert(t, i, d)] = Fraction(c, whole)
     lifted = Polynomial(ring, terms)
-    if family.tail:
+    if cut.tail:
         # undo the coordinate change: the pivot goes back to pivot - tail
         pivot_var = Polynomial.variable(ring, ring.names[i])
-        tail_poly = LinearForm(ring, i, family.tail).replacement()
-        lifted = lifted.substitute(i, pivot_var - tail_poly)
+        lifted = lifted.substitute(i, pivot_var - cut.replacement())
     return lifted
 
 
 def reconstruct_basis(
-    family: SliceFamily,
-    slice_bases: Sequence[Sequence[Polynomial]],
+    slices: Sequence[Tuple[LinearForm, Sequence[Polynomial]]],
     order: TermOrder,
 ) -> GroebnerBasis:
-    """Rebuild a basis upstairs from reduced bases of parallel slices.
+    """Rebuild a basis upstairs from reduced bases of parallel slices,
+    given as pairs of each slice's cut and its basis.
 
     Slice bases are matched up by their shared leading terms, each group
     is lifted by interpolation, and every lifted element must keep its
@@ -412,14 +391,13 @@ def reconstruct_basis(
     lands in the intended ideal is the caller's to certify, for instance
     with ``is_member`` against a basis of that ideal.
     """
-    if len(slice_bases) != len(family.gammas):
-        raise ValueError("one slice basis per slice constant required")
-    if not slice_bases or not all(slice_bases):
+    cut, _ = _shared_cut(slices)
+    if not all(base for _, base in slices):
         raise ValueError("empty slice basis")
-    sub_order = order.restrict(family.pivot)
+    sub_order = order.restrict(cut.pivot)
     rows: List[List[Polynomial]] = []
     lt_rows = set()
-    for base in slice_bases:
+    for _, base in slices:
         row = sorted(base, key=lambda g: sub_order.key(g.leading_power_product(sub_order)))
         rows.append(row)
         lt_rows.add(tuple(g.leading_power_product(sub_order) for g in row))
@@ -428,8 +406,8 @@ def reconstruct_basis(
     (shared_lts,) = lt_rows
     lifted: List[Polynomial] = []
     for j, lt in enumerate(shared_lts):
-        g = common_lifting(family, [row[j] for row in rows])
-        if g.leading_power_product(order) != pp_insert(lt, family.pivot, 0):
+        g = common_lifting([(form, row[j]) for (form, _), row in zip(slices, rows)])
+        if g.leading_power_product(order) != pp_insert(lt, cut.pivot, 0):
             raise LTDrift(
                 f"lifted element {j} has a larger leading term than its slices; "
                 "more slices or a different ordering needed"
@@ -600,26 +578,25 @@ def implicitize(
     gammas = list(itertools.islice(gamma_stream(), 4 * cap + 16))
     work = ((param_ring, sub_ring, sub_pairs, pivot_image, sub_order, g) for g in gammas)
     best_lt: Optional[PowerProduct] = None
-    with closing(map_slices(_slice_curve_job, work, jobs)) as slices:
-        for gamma, curve in zip(gammas, slices):
+    with closing(map_slices(_slice_curve_job, work, jobs)) as curves:
+        for gamma, curve in zip(gammas, curves):
             if curve is None:
                 continue  # degenerate slice, e.g. a lower-dimensional fiber
             lt = curve.leading_power_product(sub_order)
             if best_lt is None or sub_order.compare(lt, best_lt) > 0:
-                best_lt, nodes, curves = lt, [], []
+                best_lt, kept = lt, []
             if lt != best_lt:
                 continue
-            nodes.append(gamma)
-            curves.append(curve)
-            if _agrees(nodes, curves):
-                surface = common_lifting(SliceFamily(coord_ring, i, (), tuple(nodes)), curves)
+            kept.append((LinearForm(coord_ring, i, (), gamma), curve))
+            if _agrees(kept):
+                surface = common_lifting(kept)
                 # Vanishing under the parametrization is a full certificate
                 # here: any surplus factor would have to be constant on every
                 # slice yet scale the shared monic leading coefficient, which
                 # pins it to 1.
                 if not compose(surface, images, param_ring):
                     return integer_normalize(surface, order)
-            if len(nodes) == cap:
+            if len(kept) == cap:
                 raise RetryLimitExceeded(
                     f"{cap} slices gave no verified equation, and the pivot degree "
                     f"is at most {bound}; try another pivot or ordering"
@@ -632,24 +609,27 @@ def implicitize(
 
 @dataclass
 class SliceFile:
-    family: SliceFamily
-    order: TermOrder
-    slice_bases: List[List[Polynomial]]
+    slices: List[Tuple[LinearForm, List[Polynomial]]]
+    order_name: Optional[str]
 
 
 def parse_slice_json(data: dict) -> SliceFile:
     """Slice collection: {"ring": "QQ[x,y,z]", "order": "degrevlex",
     "pivot": "x", "tail": {"y": "1/2"}, "slices": [{"gamma": "2",
     "generators": ["y^2 -2"]}, ...]}.  Generators are read in the ring
-    without the pivot; "tail" and "order" are optional."""
+    without the pivot; "tail" and "order" are optional, and the tail
+    variables come after the pivot in the ring listing."""
     (ring,) = read_rings(read_object(data, "ring", "pivot", "slices")["ring"])
-    order = order_by_name(ring, read_order(data.get("order"), ring) or "degrevlex")
+    order_name = read_order(data.get("order"), ring)
     pivot = read_variable(data["pivot"], ring, "pivot")
     tail = {read_variable(v, ring, "tail variable"): read_rational(c, "tail coefficient")
             for v, c in read_object(data.get("tail") or {}).items()}
     slices = read_slices(data["slices"], "generators")
     bases = [read_polynomials(ring.drop(ring.index(pivot)), gens) for _, _, gens in slices]
-    return SliceFile(SliceFamily.of(ring, pivot, [g for g, _, _ in slices], tail), order, bases)
+    forms = [LinearForm.of(ring, pivot, tail, gamma) for gamma, _, _ in slices]
+    if any(j < forms[0].pivot for j, _ in forms[0].tail):
+        raise ValueError("tail variables must come after the pivot")
+    return SliceFile(list(zip(forms, bases)), order_name)
 
 
 # -- parametrization files -------------------------------------------

@@ -56,7 +56,6 @@ from slicegb.poly import Polynomial, compose
 from slicegb.rings import ring
 from slicegb.sections import (
     LinearForm,
-    SliceFamily,
     common_lifting,
     homogeneous_section_basis,
     implicitize,
@@ -219,9 +218,9 @@ def test_04_common_lifting():
     checks = {}
     t0 = time.perf_counter()
     R2 = ring("x", "y")
-    fam = SliceFamily.of(R2, "y", [0, 1, 2])
-    sub = fam.sub_ring()
-    lifted = common_lifting(fam, [p("x", sub), p("x +1", sub), p("x +4", sub)])
+    sub = R2.drop(1)
+    lifted = common_lifting([(LinearForm.of(R2, "y", gamma=g), p(v, sub))
+                             for g, v in [(0, "x"), (1, "x +1"), (2, "x +4")]])
     checks["minimal degree lifting"] = lifted == p("y^2 +x", R2)
 
     rng = random.Random(0xC0FFEE)
@@ -243,9 +242,8 @@ def test_04_common_lifting():
                 tail[r.names[j]] = c
         count = target.degree_in(pivot) + 1
         gammas = rng.sample(pool, count)
-        slices = SliceFamily.of(r, r.names[pivot], gammas, tail)
-        values = [form.apply(target) for form in slices.forms()]
-        misses += common_lifting(slices, values) != target
+        forms = [LinearForm.of(r, r.names[pivot], tail, g) for g in gammas]
+        misses += common_lifting([(form, form.apply(target)) for form in forms]) != target
     checks["200 random recoveries"] = misses == 0
     elapsed = time.perf_counter() - t0
     checks["under 30s"] = elapsed < 30.0
@@ -269,9 +267,8 @@ def test_05_surface_from_eight_slices():
     checks = {}
     t0 = time.perf_counter()
     R3 = ring("x", "y", "z")
-    fam = SliceFamily.of(R3, "y", [gamma for gamma, _ in LEMON_SLICES])
-    bases = [[p(s, fam.sub_ring())] for _, s in LEMON_SLICES]
-    out = reconstruct_basis(fam, bases, lex(R3))
+    slices = [(LinearForm.of(R3, "y", gamma=gamma), [p(s, R3.drop(1))]) for gamma, s in LEMON_SLICES]
+    out = reconstruct_basis(slices, lex(R3))
     checks["single element"] = len(out) == 1
     checks["exact surface"] = out.elements[0] == p(
         "x^2 +z^2 -y^3 +3*y^4 -3*y^5 +y^6", R3

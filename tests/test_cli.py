@@ -1,10 +1,12 @@
 """End-to-end runs of the command line front end against small fixture
 files, including the exit-code taxonomy and byte-stable reruns."""
 
+import gc
 import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -362,6 +364,15 @@ def test_malformed_json_field_exits_1(tmp_path, command, doc):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def test_slice_file_tail_before_the_pivot_exits_1(tmp_path):
+    # the API lifts along any tail; slice files keep theirs after the pivot
+    bad = tmp_path / "tail.json"
+    bad.write_text(json.dumps({"ring": "QQ[x,y,z]", "pivot": "y", "tail": {"x": 1},
+                               "slices": [{"gamma": g, "generators": ["x +z"]} for g in (1, 2)]}))
+    for command in ("common-lift", "reconstruct"):
+        assert run(command, str(bad)) == (1, "", "error: tail variables must come after the pivot\n")
+
+
 def test_broken_json_exits_1(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"ring": [')
@@ -391,6 +402,37 @@ def test_timeout_exits_3():
     code, _, err = run("implicitize", "--timeout", "0.05", path("surface_map.json"))
     assert code == 3
     assert "ResourceLimit" in err and "timed out" in err
+
+
+def test_timeout_fires_again_after_an_alarm_python_only_reports(monkeypatch):
+    # Python reports an error raised in a gc callback through
+    # sys.unraisablehook and goes on; an alarm that lands there must
+    # still end the call, and the hook is put back afterwards
+    swallowed = []
+    record = lambda unraisable: swallowed.append(unraisable.exc_value)
+    monkeypatch.setattr(sys, "unraisablehook", record)
+    waited = []
+
+    def busy(phase, info):
+        # wait inside the first collection after the alarm is armed
+        if not waited and signal.getitimer(signal.ITIMER_REAL)[0]:
+            waited.append(phase)
+            end = time.monotonic() + 0.6
+            while time.monotonic() < end:
+                pass
+
+    gc.callbacks.append(busy)
+    start = time.monotonic()
+    try:
+        code, out, err = run("implicitize", "--mode", "slice", "--timeout", "0.3",
+                             path("surface_map.json"))
+    finally:
+        gc.callbacks.remove(busy)
+    elapsed = time.monotonic() - start
+    assert [type(e).__name__ for e in swallowed][:1] == ["ResourceLimit"]
+    assert code == 3 and out == "" and "timed out after 0.3s" in err
+    assert elapsed < 0.3 + 1.5
+    assert sys.unraisablehook is record
 
 
 def test_timeout_ends_slice_workers():

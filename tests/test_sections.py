@@ -27,7 +27,6 @@ from slicegb import sections
 from slicegb.rings import pp_drop, ring
 from slicegb.sections import (
     LinearForm,
-    SliceFamily,
     common_lifting,
     gamma_stream,
     homogeneous_section_basis,
@@ -50,6 +49,11 @@ def p(text, r):
 
 def strings(basis):
     return [format_polynomial(basis.order, g) for g in basis]
+
+
+def parallel(r, pivot, gammas, tail=None):
+    """The parallel cuts pivot = tail + gamma, one per constant."""
+    return [LinearForm.of(r, pivot, tail, g) for g in gammas]
 
 
 # -- linear forms ----------------------------------------------------
@@ -89,19 +93,26 @@ def test_linear_form_takes_a_tail_before_the_pivot():
     assert form.apply(p("z^2 -y", r)) == p("4*x^2 +4*x -y +1", form.sub_ring())
 
 
+def slice_file(r, pivot, tail):
+    """A slice file of two slices along ``pivot`` with the given tail."""
+    sub = [v for v in r.names if v != pivot]
+    return {"ring": f"QQ[{','.join(r.names)}]", "pivot": pivot, "tail": tail,
+            "slices": [{"gamma": g, "generators": [sub[0]]} for g in (1, 2)]}
+
+
 @pytest.mark.parametrize("make", [
     lambda: LinearForm(R3, 0, ((5, Fraction(1)),)),
     lambda: LinearForm(R3, 0, ((-1, Fraction(1)),)),
     lambda: LinearForm(R3, 3, ()),
     lambda: LinearForm(R3, 0, ((3, Fraction(1)),)),
     lambda: LinearForm(R3, 0, ((1, Fraction(0)),)),
-    lambda: SliceFamily(R3, 7, (), (Fraction(1), Fraction(2))),
-    lambda: SliceFamily(R3, 0, ((5, Fraction(1)),), (Fraction(1), Fraction(2))),
-    lambda: SliceFamily.of(R2, "x", [1, 2], {"y": 0}),
-    lambda: SliceFamily.of(R3, "y", [1, 2], {"x": 1}),
+    lambda: LinearForm(R3, 7, (), Fraction(1)),
+    lambda: LinearForm(R3, 0, ((5, Fraction(1)),), Fraction(2)),
+    lambda: parse_slice_json(slice_file(R2, "x", {"y": 0})),
+    lambda: parse_slice_json(slice_file(R3, "y", {"x": 1})),
     lambda: LinearForm(R3, 2, ((1, Fraction(1)), (1, Fraction(2)))),
     lambda: LinearForm(R3, 0, ((1, Fraction(1)), (1, Fraction(2)))),
-    lambda: SliceFamily(R3, 0, ((1, Fraction(1)), (1, Fraction(2))), (Fraction(1),)),
+    lambda: LinearForm(R3, 0, ((1, Fraction(1)), (1, Fraction(2))), Fraction(1)),
 ], ids=["hom-tail-past-arity", "hom-negative-tail", "hom-pivot-past-arity",
         "tail-past-arity", "zero-tail", "family-pivot-past-arity",
         "family-tail-past-arity", "family-zero-tail", "family-tail-before-pivot",
@@ -430,9 +441,8 @@ def test_integer_lagrange_basis_is_one_at_its_node_and_zero_at_the_others(xs):
 def test_common_lifting_rebuilds_a_polynomial_on_fraction_nodes(g, tail, nodes, extra):
     # nodes with denominators, axis and oblique cuts, and surplus slices
     count = g.degree_in(0) + 1 + extra
-    fam = SliceFamily.of(R3, "x", nodes[:count], tail)
-    values = [form.apply(g) for form in fam.forms()]
-    assert common_lifting(fam, values) == g
+    forms = parallel(R3, "x", nodes[:count], tail)
+    assert common_lifting([(form, form.apply(g)) for form in forms]) == g
 
 
 @given(st.lists(fractions(), min_size=1, max_size=6, unique=True), polynomials(R2, max_degree=3))
@@ -441,7 +451,8 @@ def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
     # slices, term by term; past the pivot degree of h every slice agrees
     nodes, earlier = [], []
     for x in xs:
-        value = LinearForm.of(R2, "x", gamma=x).apply(h)
+        form = LinearForm.of(R2, "x", gamma=x)
+        value = form.apply(h)
         predicted = True
         for t in set(value.terms).union(*(v.terms for v in earlier)):
             coeffs = lagrange_coefficients([(n, v.terms.get(t, Fraction(0)))
@@ -450,7 +461,8 @@ def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
             for c in reversed(coeffs):
                 at_x = at_x * x + c
             predicted = predicted and at_x == value.terms.get(t, Fraction(0))
-        assert sections._agrees(nodes + [x], earlier + [value]) == predicted
+        kept = [LinearForm.of(R2, "x", gamma=n) for n in nodes] + [form]
+        assert sections._agrees(list(zip(kept, earlier + [value]))) == predicted
         if len(nodes) > max((t[0] for t in h.terms), default=0):
             assert predicted
         nodes.append(x)
@@ -458,19 +470,25 @@ def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
 
 
 def test_common_lifting_minimal_degree_example():
-    fam = SliceFamily.of(R2, "y", [0, 1, 2])
-    sub = fam.sub_ring()
+    sub = R2.drop(1)
     values = [p("x", sub), p("x +1", sub), p("x +4", sub)]
-    g = common_lifting(fam, values)
+    g = common_lifting(list(zip(parallel(R2, "y", [0, 1, 2]), values)))
     assert g == p("y^2 +x", R2)
 
 
 def test_common_lifting_with_tail():
     # slices x = z + gamma of a known polynomial come back exactly
     target = p("x^2*y -z*x +y", R3)
-    fam = SliceFamily.of(R3, "x", [0, 1, -1], tail={"z": Fraction(1)})
-    values = [form.apply(target) for form in fam.forms()]
-    assert common_lifting(fam, values) == target
+    forms = parallel(R3, "x", [0, 1, -1], {"z": Fraction(1)})
+    assert common_lifting([(form, form.apply(target)) for form in forms]) == target
+
+
+def test_common_lifting_takes_a_tail_before_the_pivot():
+    # slices z = 2*x - y + gamma: the API takes any tail, and the lift
+    # undoes the shear exactly
+    target = p("z^2*x -y*z +x^3 -2", R3)
+    forms = parallel(R3, "z", [Fraction(1, 2), -1, 3], {"x": 2, "y": -1})
+    assert common_lifting([(form, form.apply(target)) for form in forms]) == target
 
 
 @pytest.mark.parametrize("corrupt", [0, -1], ids=["constant", "top"])
@@ -478,8 +496,7 @@ def test_common_lifting_checks_every_slice(monkeypatch, corrupt):
     # one interpolated coefficient off by one numerator: on fraction
     # nodes of an oblique cut, the integer check refuses the lift
     target = p("x^2*y -z*x +y", R3)
-    fam = SliceFamily.of(R3, "x", [Fraction(1, 2), Fraction(-1, 3), Fraction(2)], tail={"z": Fraction(1)})
-    values = [form.apply(target) for form in fam.forms()]
+    forms = parallel(R3, "x", [Fraction(1, 2), Fraction(-1, 3), Fraction(2)], {"z": Fraction(1)})
     interpolate, calls = sections._interpolate, []
 
     def corrupted(rows, ys):
@@ -491,17 +508,37 @@ def test_common_lifting_checks_every_slice(monkeypatch, corrupt):
 
     monkeypatch.setattr(sections, "_interpolate", corrupted)
     with pytest.raises(AssertionError, match="failed to restrict to a slice value"):
-        common_lifting(fam, values)
+        common_lifting([(form, form.apply(target)) for form in forms])
 
 
 def test_common_lifting_validates_input():
-    fam = SliceFamily.of(R2, "y", [0, 1])
+    forms = parallel(R2, "y", [0, 1])
     with pytest.raises(ValueError):
-        common_lifting(fam, [p("x", fam.sub_ring())])
+        common_lifting([])
     with pytest.raises(ValueError):
-        common_lifting(fam, [p("x", R2), p("x", R2)])
+        common_lifting([(form, p("x", R2)) for form in forms])
+    with pytest.raises(ValueError, match="slice constants must be distinct"):
+        common_lifting([(form, p("x", R2.drop(1))) for form in parallel(R2, "y", [1, 1])])
+
+
+MISMATCHED_CUTS = {
+    "ring": [LinearForm.of(R3, "x", gamma=1), LinearForm.of(ring("x", "y", "w"), "x", gamma=2)],
+    "pivot": [LinearForm.of(R3, "x", gamma=1), LinearForm.of(R3, "y", gamma=2)],
+    "tail": [LinearForm.of(R3, "x", {"z": 1}, 1), LinearForm.of(R3, "x", {"z": 2}, 2)],
+    "no-tail": [LinearForm.of(R3, "x", {"z": 1}, 1), LinearForm.of(R3, "x", gamma=2)],
+    "constant": [LinearForm.of(R3, "x", {"z": 1}, 1), LinearForm.of(R3, "x", {"z": 1}, 1)],
+}
+
+
+@pytest.mark.parametrize("forms", MISMATCHED_CUTS.values(), ids=MISMATCHED_CUTS)
+def test_parallel_slices_share_one_cut_and_distinct_constants(forms):
+    # the cuts of parallel slices may differ in their constant only,
+    # and there only; both the lift and the reconstruction refuse
+    value = p("y +z", ring("y", "z"))
     with pytest.raises(ValueError):
-        SliceFamily.of(R2, "y", [1, 1])
+        common_lifting([(form, value) for form in forms])
+    with pytest.raises(ValueError):
+        reconstruct_basis([(form, [value]) for form in forms], lex(R3))
 
 
 @settings(max_examples=200, deadline=None)
@@ -527,9 +564,8 @@ def test_common_lifting_recovers_random_polynomials(data):
                  unique=True),
         label="gammas",
     )
-    fam = SliceFamily.of(r, r.names[pivot], gammas, tail)
-    values = [form.apply(g) for form in fam.forms()]
-    assert common_lifting(fam, values) == g
+    forms = parallel(r, r.names[pivot], gammas, tail)
+    assert common_lifting([(form, form.apply(g)) for form in forms]) == g
 
 
 # -- reconstruction --------------------------------------------------
@@ -546,15 +582,12 @@ LEMON_SLICES = [
 ]
 
 
-def lemon_family():
-    fam = SliceFamily.of(R3, "y", [g for g, _ in LEMON_SLICES])
-    bases = [[p(s, fam.sub_ring())] for _, s in LEMON_SLICES]
-    return fam, bases
+def lemon_slices():
+    return [(LinearForm.of(R3, "y", gamma=g), [p(s, R3.drop(1))]) for g, s in LEMON_SLICES]
 
 
 def test_lemon_surface_reconstruction():
-    fam, bases = lemon_family()
-    out = reconstruct_basis(fam, bases, lex(R3))
+    out = reconstruct_basis(lemon_slices(), lex(R3))
     assert strings(out) == ["x^2 +y^6 -3*y^5 +3*y^4 -y^3 +z^2"]
     surface = out.elements[0]
     # x^2 + z^2 - y^3*(1-y)^3
@@ -562,10 +595,9 @@ def test_lemon_surface_reconstruction():
 
 
 def test_lemon_reconstruction_certified_against_basis():
-    fam, bases = lemon_family()
     factored = p("x^2 +z^2", R3) - p("y", R3) ** 3 * p("1 -y", R3) ** 3
     target = groebner_basis(lex(R3), [factored])
-    out = reconstruct_basis(fam, bases, lex(R3))
+    out = reconstruct_basis(lemon_slices(), lex(R3))
     assert all(is_member(g, target) for g in out)
     assert out.is_reduced
 
@@ -573,23 +605,22 @@ def test_lemon_reconstruction_certified_against_basis():
 def test_lemon_reconstruction_needs_lex():
     # under a degree-compatible ordering the lifted y^6 overtakes the
     # slice leading term x^2, and the reconstruction must say so
-    fam, bases = lemon_family()
     with pytest.raises(LTDrift):
-        reconstruct_basis(fam, bases, degrevlex(R3))
+        reconstruct_basis(lemon_slices(), degrevlex(R3))
 
 
 def test_reconstruction_rejects_mismatched_slices():
-    fam = SliceFamily.of(R2, "y", [0, 1])
-    sub = fam.sub_ring()
+    sub = R2.drop(1)
+    bases = [[p("x", sub)], [p("x^2", sub)]]
     with pytest.raises(NonGenericSlices):
-        reconstruct_basis(fam, [[p("x", sub)], [p("x^2", sub)]], degrevlex(R2))
+        reconstruct_basis(list(zip(parallel(R2, "y", [0, 1]), bases)), degrevlex(R2))
 
 
 def test_reconstruction_membership_failure():
-    fam = SliceFamily.of(R2, "y", [0, 1])
-    sub = fam.sub_ring()
+    sub = R2.drop(1)
+    bases = [[p("x +1", sub)], [p("x +2", sub)]]
     target = groebner_basis(degrevlex(R2), [p("x", R2)])
-    out = reconstruct_basis(fam, [[p("x +1", sub)], [p("x +2", sub)]], degrevlex(R2))
+    out = reconstruct_basis(list(zip(parallel(R2, "y", [0, 1]), bases)), degrevlex(R2))
     # the lift is returned unchecked, and it is not in the target
     assert strings(out) == ["x +y +1"]
     assert not is_member(out.elements[0], target)
@@ -599,11 +630,9 @@ def test_multi_element_reconstruction():
     order = degrevlex(R3)
     gens = [p("x^2 -y", R3), p("y^2 -z*x", R3)]
     gb = groebner_basis(order, gens)
-    fam = SliceFamily.of(R3, "z", [2, -2, 3, -3, 4])
-    bases = []
-    for form in fam.forms():
-        bases.append(list(section_basis(gb, form).elements))
-    out = reconstruct_basis(fam, bases, order)
+    slices = [(form, list(section_basis(gb, form).elements))
+              for form in parallel(R3, "z", [2, -2, 3, -3, 4])]
+    out = reconstruct_basis(slices, order)
     assert all(is_member(g, gb) for g in out)
     assert list(out.elements) == list(gb.elements)
 
@@ -767,9 +796,9 @@ def test_implicitize_stops_without_recomputing_a_slice(monkeypatch, case, pivot,
     lifted = []
     lifting = sections.common_lifting
 
-    def counted_lifting(family, values):
-        lifted.append(len(values))
-        return lifting(family, values)
+    def counted_lifting(slices):
+        lifted.append(len(slices))
+        return lifting(slices)
 
     monkeypatch.setattr(sections, "common_lifting", counted_lifting)
     sliced = implicitize(par, coords, images, mode="slice", pivot=pivot)
@@ -797,9 +826,9 @@ def test_implicitize_keeps_only_slices_of_the_largest_leading_term(monkeypatch, 
     families = []
     lifting = sections.common_lifting
 
-    def recorded_lifting(family, values):
-        families.append(family.gammas)
-        return lifting(family, values)
+    def recorded_lifting(slices):
+        families.append(tuple(form.gamma for form, _ in slices))
+        return lifting(slices)
 
     monkeypatch.setattr(sections, "common_lifting", recorded_lifting)
     assert implicitize(par, coords, images, mode="slice", pivot="z") == elim
@@ -913,10 +942,9 @@ def test_load_slice_file():
                 {"gamma": "-2", "generators": ["x^2 +z^2 +216"]}]}
     """
     out = parse_slice_json(json.loads(text))
-    assert out.family.pivot == 1
-    assert out.family.gammas == (Fraction(2), Fraction(-2))
-    assert out.order == lex(R3)
-    assert out.slice_bases[0] == [p("x^2 +z^2 +8", ring("x", "z"))]
+    assert [form for form, _ in out.slices] == parallel(R3, "y", [2, -2])
+    assert out.order_name == "lex"
+    assert out.slices[0][1] == [p("x^2 +z^2 +8", ring("x", "z"))]
 
 
 def test_load_slice_file_with_tail():
@@ -925,8 +953,8 @@ def test_load_slice_file_with_tail():
      "slices": [{"gamma": 0, "generators": ["y"]}]}
     """
     out = parse_slice_json(json.loads(text))
-    assert out.family.tail == ((1, Fraction(1, 2)),)
-    assert out.order == degrevlex(R2)
+    assert [form for form, _ in out.slices] == parallel(R2, "x", [0], {"y": Fraction(1, 2)})
+    assert out.order_name is None
 
 
 @pytest.mark.parametrize(
