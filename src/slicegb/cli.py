@@ -80,8 +80,9 @@ def _deadline(seconds: Optional[float]):
 
     The alarm raises wherever the main thread is.  Where Python only
     reports an error and goes on (a ``gc`` callback, a ``__del__``), the
-    report reaches ``sys.unraisablehook``, which sounds the alarm again a
-    millisecond later, once the hook has returned."""
+    report reaches ``sys.unraisablehook``; for the alarm's own error the
+    hook reports nothing and sounds the alarm again a millisecond later,
+    once the hook has returned, and it passes every other report on."""
     if not seconds:
         yield
         return
@@ -90,9 +91,10 @@ def _deadline(seconds: Optional[float]):
         raise ResourceLimit(f"timed out after {seconds:g}s")
 
     def refire(unraisable):
-        report(unraisable)
         if isinstance(unraisable.exc_value, ResourceLimit):
             signal.setitimer(signal.ITIMER_REAL, 0.001)
+        else:
+            report(unraisable)
 
     previous = signal.signal(signal.SIGALRM, expire)
     report, sys.unraisablehook = sys.unraisablehook, refire

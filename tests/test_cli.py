@@ -407,19 +407,24 @@ def test_timeout_exits_3():
 def test_timeout_fires_again_after_an_alarm_python_only_reports(monkeypatch):
     # Python reports an error raised in a gc callback through
     # sys.unraisablehook and goes on; an alarm that lands there must
-    # still end the call, and the hook is put back afterwards
-    swallowed = []
-    record = lambda unraisable: swallowed.append(unraisable.exc_value)
+    # still end the call, with no report of its own, and the hook is put
+    # back afterwards
+    reported = []
+    record = lambda unraisable: reported.append(unraisable.exc_value)
     monkeypatch.setattr(sys, "unraisablehook", record)
-    waited = []
+    interrupted = []
 
     def busy(phase, info):
         # wait inside the first collection after the alarm is armed
-        if not waited and signal.getitimer(signal.ITIMER_REAL)[0]:
-            waited.append(phase)
+        if not interrupted and signal.getitimer(signal.ITIMER_REAL)[0]:
             end = time.monotonic() + 0.6
-            while time.monotonic() < end:
-                pass
+            try:
+                while time.monotonic() < end:
+                    pass
+            except BaseException as err:
+                interrupted.append(err)
+                raise
+            interrupted.append(None)
 
     gc.callbacks.append(busy)
     start = time.monotonic()
@@ -429,10 +434,10 @@ def test_timeout_fires_again_after_an_alarm_python_only_reports(monkeypatch):
     finally:
         gc.callbacks.remove(busy)
     elapsed = time.monotonic() - start
-    assert [type(e).__name__ for e in swallowed][:1] == ["ResourceLimit"]
-    assert code == 3 and out == "" and "timed out after 0.3s" in err
+    assert [type(e).__name__ for e in interrupted] == ["ResourceLimit"]
+    assert code == 3 and out == "" and err == "error: ResourceLimit: timed out after 0.3s\n"
     assert elapsed < 0.3 + 1.5
-    assert sys.unraisablehook is record
+    assert reported == [] and sys.unraisablehook is record
 
 
 def test_timeout_ends_slice_workers():
