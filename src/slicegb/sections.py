@@ -313,10 +313,11 @@ def _agrees(slices: Sequence[Tuple[LinearForm, Polynomial]]) -> bool:
 def _shared_cut(slices) -> Tuple[LinearForm, List[Fraction]]:
     """The cut that the ``(form, data)`` pairs of parallel slices share,
     with constant 0, and their constants in order.  Refuses no slices,
-    forms that differ in ring, pivot or tail, and a repeated constant."""
+    forms that differ in ring, pivot or tail (in any listing of its
+    terms), and a repeated constant."""
     if not slices:
         raise ValueError("no slices given")
-    cuts = {replace(form, gamma=Fraction(0)) for form, _ in slices}
+    cuts = {replace(form, tail=tuple(sorted(form.tail)), gamma=Fraction(0)) for form, _ in slices}
     if len(cuts) != 1:
         raise ValueError("parallel slices must share one ring, pivot and tail")
     gammas = [form.gamma for form, _ in slices]

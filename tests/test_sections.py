@@ -484,10 +484,11 @@ def test_common_lifting_with_tail():
 
 
 def test_common_lifting_takes_a_tail_before_the_pivot():
-    # slices z = 2*x - y + gamma: the API takes any tail, and the lift
-    # undoes the shear exactly
+    # slices z = 2*x - y + gamma: the API takes any tail, listed in any
+    # order, and the lift undoes the shear exactly
     target = p("z^2*x -y*z +x^3 -2", R3)
-    forms = parallel(R3, "z", [Fraction(1, 2), -1, 3], {"x": 2, "y": -1})
+    tails = [((0, Fraction(2)), (1, Fraction(-1))), ((1, Fraction(-1)), (0, Fraction(2)))]
+    forms = [LinearForm(R3, 2, tails[k % 2], Fraction(g)) for k, g in enumerate([Fraction(1, 2), -1, 3])]
     assert common_lifting([(form, form.apply(target)) for form in forms]) == target
 
 

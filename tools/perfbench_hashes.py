@@ -20,6 +20,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
 
 import workloads  # noqa: E402
 from slicegb import cli  # noqa: E402
