@@ -265,12 +265,12 @@ def _cmd_common_lift(args) -> int:
     sf = parse_slice_json(_json(args.file))
     order = _resolve_order(sf.slices[0][0].ring, args.order, sf.order_name)
     values = []
-    for k, (form, base) in enumerate(sf.slices):
+    for k, (_, base) in enumerate(sf.slices):
         good = [g for g in base if g]
         if len(good) != 1:
             raise ValueError(f"slice {k + 1} must carry exactly one polynomial")
-        values.append((form, good[0]))
-    lifted = common_lifting(values)
+        values.append(good[0])
+    lifted = common_lifting([cut for cut, _ in sf.slices], values)
     text = format_polynomial(order, lifted)
     return _emit(args, {"polynomial": text}, [text])
 

@@ -297,40 +297,39 @@ def _columns(values: Sequence[Polynomial]) -> Tuple[List[PowerProduct], List[Lis
     return terms, [[row.get(t, 0) for row in rows] for t in terms], den
 
 
-def _agrees(slices: Sequence[Tuple[LinearForm, Polynomial]]) -> bool:
+def _agrees(cuts: Sequence[LinearForm], values: Sequence[Polynomial]) -> bool:
     """True when, term by term, the interpolant along the pivot of all
-    but the last of the parallel ``(form, value)`` slices already takes
-    the last slice's value at its constant.  That holds exactly when the
-    interpolant of all the slices has no term of degree ``len(slices) - 1``
+    but the last slice already takes the last slice value ``values[-1]``
+    at the constant of ``cuts[-1]``.  That holds exactly when the
+    interpolant of all the slices has no term of degree ``len(cuts) - 1``
     in the pivot, whose coefficient is the top divided difference of
     Newton's form: the last row of the Lagrange basis dotted with each
     column.  A single nonzero slice value never agrees."""
-    top = _lagrange_basis([form.gamma for form, _ in slices])[0][-1]
-    _, columns, _ = _columns([v for _, v in slices])
+    top = _lagrange_basis([cut.gamma for cut in cuts])[0][-1]
+    _, columns, _ = _columns(values)
     return not any(sum(map(operator.mul, top, col)) for col in columns)
 
 
-def _shared_cut(slices) -> Tuple[LinearForm, List[Fraction]]:
-    """The cut that the ``(form, data)`` pairs of parallel slices share,
-    with constant 0, and their constants in order.  Refuses no slices,
-    forms that differ in ring, pivot or tail (in any listing of its
-    terms), and a repeated constant."""
-    if not slices:
+def _shared_cut(cuts: Sequence[LinearForm]) -> Tuple[LinearForm, List[Fraction]]:
+    """The cut that parallel slices share, with constant 0, and their
+    constants in order.  Refuses no cuts, cuts that differ in ring, pivot
+    or tail (in any listing of its terms), and a repeated constant."""
+    if not cuts:
         raise ValueError("no slices given")
-    cuts = {replace(form, tail=tuple(sorted(form.tail)), gamma=Fraction(0)) for form, _ in slices}
-    if len(cuts) != 1:
+    shared = {replace(cut, tail=tuple(sorted(cut.tail)), gamma=Fraction(0)) for cut in cuts}
+    if len(shared) != 1:
         raise ValueError("parallel slices must share one ring, pivot and tail")
-    gammas = [form.gamma for form, _ in slices]
+    gammas = [cut.gamma for cut in cuts]
     if len(set(gammas)) != len(gammas):
         raise ValueError("slice constants must be distinct")
-    (cut,) = cuts
+    (cut,) = shared
     return cut, gammas
 
 
-def common_lifting(slices: Sequence[Tuple[LinearForm, Polynomial]]) -> Polynomial:
+def common_lifting(cuts: Sequence[LinearForm], values: Sequence[Polynomial]) -> Polynomial:
     """The unique polynomial of pivot-degree < N restricting to the
-    given value on each of the N parallel slices, given as pairs of the
-    slice's cut x_i = tail + gamma_k and its value.
+    given value on each of the N parallel slices, slice k being the cut
+    ``cuts[k]``: x_i = tail + gamma_k.
 
     The shared tail is absorbed into a triangular change of coordinates,
     after which each slice pins the pivot to a constant and every
@@ -345,8 +344,9 @@ def common_lifting(slices: Sequence[Tuple[LinearForm, Polynomial]]) -> Polynomia
     basis denominator times S^top.  Undoing the shear maps the slice
     pivot = gamma onto the cut pivot = tail + gamma exactly.
     """
-    cut, gammas = _shared_cut(slices)
-    values = [v for _, v in slices]
+    if len(values) != len(cuts):
+        raise ValueError("one slice value per cut required")
+    cut, gammas = _shared_cut(cuts)
     sub = cut.sub_ring()
     for v in values:
         if v.ring != sub:
@@ -392,7 +392,8 @@ def reconstruct_basis(
     lands in the intended ideal is the caller's to certify, for instance
     with ``is_member`` against a basis of that ideal.
     """
-    cut, _ = _shared_cut(slices)
+    cuts = [cut for cut, _ in slices]
+    cut, _ = _shared_cut(cuts)
     if not all(base for _, base in slices):
         raise ValueError("empty slice basis")
     sub_order = order.restrict(cut.pivot)
@@ -407,7 +408,7 @@ def reconstruct_basis(
     (shared_lts,) = lt_rows
     lifted: List[Polynomial] = []
     for j, lt in enumerate(shared_lts):
-        g = common_lifting([(form, row[j]) for (form, _), row in zip(slices, rows)])
+        g = common_lifting(cuts, [row[j] for row in rows])
         if g.leading_power_product(order) != pp_insert(lt, cut.pivot, 0):
             raise LTDrift(
                 f"lifted element {j} has a larger leading term than its slices; "
@@ -579,25 +580,26 @@ def implicitize(
     gammas = list(itertools.islice(gamma_stream(), 4 * cap + 16))
     work = ((param_ring, sub_ring, sub_pairs, pivot_image, sub_order, g) for g in gammas)
     best_lt: Optional[PowerProduct] = None
-    with closing(map_slices(_slice_curve_job, work, jobs)) as curves:
-        for gamma, curve in zip(gammas, curves):
+    with closing(map_slices(_slice_curve_job, work, jobs)) as slices:
+        for gamma, curve in zip(gammas, slices):
             if curve is None:
                 continue  # degenerate slice, e.g. a lower-dimensional fiber
             lt = curve.leading_power_product(sub_order)
             if best_lt is None or sub_order.compare(lt, best_lt) > 0:
-                best_lt, kept = lt, []
+                best_lt, cuts, curves = lt, [], []
             if lt != best_lt:
                 continue
-            kept.append((LinearForm(coord_ring, i, (), gamma), curve))
-            if _agrees(kept):
-                surface = common_lifting(kept)
+            cuts.append(LinearForm(coord_ring, i, (), gamma))
+            curves.append(curve)
+            if _agrees(cuts, curves):
+                surface = common_lifting(cuts, curves)
                 # Vanishing under the parametrization is a full certificate
                 # here: any surplus factor would have to be constant on every
                 # slice yet scale the shared monic leading coefficient, which
                 # pins it to 1.
                 if not compose(surface, images, param_ring):
                     return integer_normalize(surface, order)
-            if len(kept) == cap:
+            if len(cuts) == cap:
                 raise RetryLimitExceeded(
                     f"{cap} slices gave no verified equation, and the pivot degree "
                     f"is at most {bound}; try another pivot or ordering"

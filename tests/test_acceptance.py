@@ -219,8 +219,8 @@ def test_04_common_lifting():
     t0 = time.perf_counter()
     R2 = ring("x", "y")
     sub = R2.drop(1)
-    lifted = common_lifting([(LinearForm.of(R2, "y", gamma=g), p(v, sub))
-                             for g, v in [(0, "x"), (1, "x +1"), (2, "x +4")]])
+    lifted = common_lifting([LinearForm.of(R2, "y", gamma=g) for g in (0, 1, 2)],
+                            [p("x", sub), p("x +1", sub), p("x +4", sub)])
     checks["minimal degree lifting"] = lifted == p("y^2 +x", R2)
 
     rng = random.Random(0xC0FFEE)
@@ -243,7 +243,7 @@ def test_04_common_lifting():
         count = target.degree_in(pivot) + 1
         gammas = rng.sample(pool, count)
         forms = [LinearForm.of(r, r.names[pivot], tail, g) for g in gammas]
-        misses += common_lifting([(form, form.apply(target)) for form in forms]) != target
+        misses += common_lifting(forms, [form.apply(target) for form in forms]) != target
     checks["200 random recoveries"] = misses == 0
     elapsed = time.perf_counter() - t0
     checks["under 30s"] = elapsed < 30.0

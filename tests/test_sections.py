@@ -442,7 +442,7 @@ def test_common_lifting_rebuilds_a_polynomial_on_fraction_nodes(g, tail, nodes, 
     # nodes with denominators, axis and oblique cuts, and surplus slices
     count = g.degree_in(0) + 1 + extra
     forms = parallel(R3, "x", nodes[:count], tail)
-    assert common_lifting([(form, form.apply(g)) for form in forms]) == g
+    assert common_lifting(forms, [form.apply(g) for form in forms]) == g
 
 
 @given(st.lists(fractions(), min_size=1, max_size=6, unique=True), polynomials(R2, max_degree=3))
@@ -451,8 +451,7 @@ def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
     # slices, term by term; past the pivot degree of h every slice agrees
     nodes, earlier = [], []
     for x in xs:
-        form = LinearForm.of(R2, "x", gamma=x)
-        value = form.apply(h)
+        value = LinearForm.of(R2, "x", gamma=x).apply(h)
         predicted = True
         for t in set(value.terms).union(*(v.terms for v in earlier)):
             coeffs = lagrange_coefficients([(n, v.terms.get(t, Fraction(0)))
@@ -461,8 +460,8 @@ def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
             for c in reversed(coeffs):
                 at_x = at_x * x + c
             predicted = predicted and at_x == value.terms.get(t, Fraction(0))
-        kept = [LinearForm.of(R2, "x", gamma=n) for n in nodes] + [form]
-        assert sections._agrees(list(zip(kept, earlier + [value]))) == predicted
+        cuts = [LinearForm.of(R2, "x", gamma=n) for n in nodes + [x]]
+        assert sections._agrees(cuts, earlier + [value]) == predicted
         if len(nodes) > max((t[0] for t in h.terms), default=0):
             assert predicted
         nodes.append(x)
@@ -472,7 +471,7 @@ def test_stop_rule_flags_the_slices_earlier_ones_predict(xs, h):
 def test_common_lifting_minimal_degree_example():
     sub = R2.drop(1)
     values = [p("x", sub), p("x +1", sub), p("x +4", sub)]
-    g = common_lifting(list(zip(parallel(R2, "y", [0, 1, 2]), values)))
+    g = common_lifting(parallel(R2, "y", [0, 1, 2]), values)
     assert g == p("y^2 +x", R2)
 
 
@@ -480,7 +479,7 @@ def test_common_lifting_with_tail():
     # slices x = z + gamma of a known polynomial come back exactly
     target = p("x^2*y -z*x +y", R3)
     forms = parallel(R3, "x", [0, 1, -1], {"z": Fraction(1)})
-    assert common_lifting([(form, form.apply(target)) for form in forms]) == target
+    assert common_lifting(forms, [form.apply(target) for form in forms]) == target
 
 
 def test_common_lifting_takes_a_tail_before_the_pivot():
@@ -489,7 +488,7 @@ def test_common_lifting_takes_a_tail_before_the_pivot():
     target = p("z^2*x -y*z +x^3 -2", R3)
     tails = [((0, Fraction(2)), (1, Fraction(-1))), ((1, Fraction(-1)), (0, Fraction(2)))]
     forms = [LinearForm(R3, 2, tails[k % 2], Fraction(g)) for k, g in enumerate([Fraction(1, 2), -1, 3])]
-    assert common_lifting([(form, form.apply(target)) for form in forms]) == target
+    assert common_lifting(forms, [form.apply(target) for form in forms]) == target
 
 
 @pytest.mark.parametrize("corrupt", [0, -1], ids=["constant", "top"])
@@ -509,17 +508,19 @@ def test_common_lifting_checks_every_slice(monkeypatch, corrupt):
 
     monkeypatch.setattr(sections, "_interpolate", corrupted)
     with pytest.raises(AssertionError, match="failed to restrict to a slice value"):
-        common_lifting([(form, form.apply(target)) for form in forms])
+        common_lifting(forms, [form.apply(target) for form in forms])
 
 
 def test_common_lifting_validates_input():
     forms = parallel(R2, "y", [0, 1])
     with pytest.raises(ValueError):
-        common_lifting([])
+        common_lifting(forms, [p("x", R2.drop(1))])
     with pytest.raises(ValueError):
-        common_lifting([(form, p("x", R2)) for form in forms])
+        common_lifting(forms, [p("x", R2), p("x", R2)])
     with pytest.raises(ValueError, match="slice constants must be distinct"):
-        common_lifting([(form, p("x", R2.drop(1))) for form in parallel(R2, "y", [1, 1])])
+        common_lifting(parallel(R2, "y", [1, 1]), [p("x", R2.drop(1))] * 2)
+    with pytest.raises(ValueError):
+        common_lifting([], [])
 
 
 MISMATCHED_CUTS = {
@@ -537,7 +538,7 @@ def test_parallel_slices_share_one_cut_and_distinct_constants(forms):
     # and there only; both the lift and the reconstruction refuse
     value = p("y +z", ring("y", "z"))
     with pytest.raises(ValueError):
-        common_lifting([(form, value) for form in forms])
+        common_lifting(forms, [value] * len(forms))
     with pytest.raises(ValueError):
         reconstruct_basis([(form, [value]) for form in forms], lex(R3))
 
@@ -566,7 +567,7 @@ def test_common_lifting_recovers_random_polynomials(data):
         label="gammas",
     )
     forms = parallel(r, r.names[pivot], gammas, tail)
-    assert common_lifting([(form, form.apply(g)) for form in forms]) == g
+    assert common_lifting(forms, [form.apply(g) for form in forms]) == g
 
 
 # -- reconstruction --------------------------------------------------
@@ -758,7 +759,7 @@ def test_slice_mode_matches_eliminate_mode_on_small_maps(texts):
         assert sliced in (equation, -equation), (texts, name)
 
 
-PINCH =(["u", "v"], ["u*v", "u", "v^2"])
+PINCH = (["u", "v"], ["u*v", "u", "v^2"])
 # the slice z = -2 is the parameter line s = 0, which maps to a point
 POINT_SLICE = (["s", "t"], ["s*t", "s*t^2", "s -2"])
 
@@ -797,9 +798,9 @@ def test_implicitize_stops_without_recomputing_a_slice(monkeypatch, case, pivot,
     lifted = []
     lifting = sections.common_lifting
 
-    def counted_lifting(slices):
-        lifted.append(len(slices))
-        return lifting(slices)
+    def counted_lifting(cuts, values):
+        lifted.append(len(values))
+        return lifting(cuts, values)
 
     monkeypatch.setattr(sections, "common_lifting", counted_lifting)
     sliced = implicitize(par, coords, images, mode="slice", pivot=pivot)
@@ -827,9 +828,9 @@ def test_implicitize_keeps_only_slices_of_the_largest_leading_term(monkeypatch, 
     families = []
     lifting = sections.common_lifting
 
-    def recorded_lifting(slices):
-        families.append(tuple(form.gamma for form, _ in slices))
-        return lifting(slices)
+    def recorded_lifting(cuts, values):
+        families.append(tuple(cut.gamma for cut in cuts))
+        return lifting(cuts, values)
 
     monkeypatch.setattr(sections, "common_lifting", recorded_lifting)
     assert implicitize(par, coords, images, mode="slice", pivot="z") == elim

@@ -28,3 +28,21 @@ def test_every_traced_name_resolves():
     if not callable(getattr(importlib.import_module("slicegb.sections"), "ProcessPoolExecutor", None)):
         missing.append("slicegb.sections.ProcessPoolExecutor")
     assert not missing
+
+
+def test_traced_slice_commands_run(capsys):
+    # the tracer reads arguments too: the slice count of each lift is the
+    # length of the second argument of common_lifting
+    tracing = load_tracing()
+    data = Path(__file__).resolve().parent / "data"
+    recorder = tracing.Recorder()
+    installed = tracing.Installed(recorder)
+    try:
+        cli = importlib.import_module("slicegb.cli")
+        codes = [cli.main(["reconstruct", str(data / "lemon_slices.json")]),
+                 cli.main(["implicitize", "--mode", "slice", str(data / "cubic_map.json")])]
+    finally:
+        installed.uninstall()
+    assert codes == [0, 0]
+    assert recorder.observed["lifted_slices"][0] == 8
+    assert recorder.calls["sections.common_lifting"] >= 2
