@@ -278,21 +278,19 @@ class Polynomial:
         return _from_numerators(self.ring, terms, den * vden ** top)
 
     def evaluate(self, values: Iterable) -> object:
-        """Full evaluation at a point: the sum of each coefficient times
-        the product of the point's powers at its term, one product per
-        coefficient, so a parameter-polynomial or rational-function
-        coefficient gives a value of its own kind."""
+        """Full evaluation at a point: an element of the coefficient ring,
+        so parameter-polynomial and rational-function coefficients give
+        values of their own kind."""
         vals = list(values)
         if len(vals) != self.ring.arity:
             raise ValueError("wrong number of values")
         total = Fraction(0)
         for t, c in self.terms.items():
-            scale = 1
+            acc = c
             for v, e in zip(vals, t):
                 if e:
-                    scale = scale * v ** e
-            if scale:
-                total = total + c * scale
+                    acc = acc * v ** e
+            total = total + acc
         return total
 
     def project_drop(self, i: int) -> "Polynomial":

@@ -16,7 +16,7 @@ import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -316,14 +316,14 @@ def _shared_cut(cuts: Sequence[LinearForm]) -> Tuple[LinearForm, List[Fraction]]
     or tail (in any listing of its terms), and a repeated constant."""
     if not cuts:
         raise ValueError("no slices given")
-    shared = {replace(cut, tail=tuple(sorted(cut.tail)), gamma=Fraction(0)) for cut in cuts}
+    shared = {(cut.ring, cut.pivot, tuple(sorted(cut.tail))) for cut in cuts}
     if len(shared) != 1:
         raise ValueError("parallel slices must share one ring, pivot and tail")
     gammas = [cut.gamma for cut in cuts]
     if len(set(gammas)) != len(gammas):
         raise ValueError("slice constants must be distinct")
-    (cut,) = shared
-    return cut, gammas
+    ((ring, pivot, tail),) = shared
+    return LinearForm(ring, pivot, tail), gammas
 
 
 def common_lifting(cuts: Sequence[LinearForm], values: Sequence[Polynomial]) -> Polynomial:
