@@ -392,10 +392,10 @@ def reconstruct_basis(
     lands in the intended ideal is the caller's to certify, for instance
     with ``is_member`` against a basis of that ideal.
     """
+    if not slices or not all(base for _, base in slices):
+        raise ValueError("empty slice basis")
     cuts = [cut for cut, _ in slices]
     cut, _ = _shared_cut(cuts)
-    if not all(base for _, base in slices):
-        raise ValueError("empty slice basis")
     sub_order = order.restrict(cut.pivot)
     rows: List[List[Polynomial]] = []
     lt_rows = set()
