@@ -211,12 +211,12 @@ def reconstruct_surface(
         raise ValueError("surface reconstruction needs a single-generator template")
     _assert_linear(template)
     full = Ring(template.ring.names + (pivot,))
-    forms = [LinearForm.of(full, pivot, gamma=g) for g, _ in slices]
+    data = [(LinearForm.of(full, pivot, gamma=g), d) for g, d in slices]
     if order is None:
         order = DegRevLex(full.arity)
-    work = [(template, form.gamma, d) for form, (_, d) in zip(forms, slices)]
+    work = [(template, form.gamma, d) for form, d in data]
     with closing(map_slices(_slice_curve, work, jobs)) as found:
-        curves = [(form, [c]) for form, c in zip(forms, found)]
+        curves = [(form, [c]) for (form, _), c in zip(data, found)]
     return reconstruct_basis(curves, order).elements[0]
 
 

@@ -487,7 +487,8 @@ def test_common_lifting_takes_a_tail_before_the_pivot():
     # order, and the lift undoes the shear exactly
     target = p("z^2*x -y*z +x^3 -2", R3)
     tails = [((0, Fraction(2)), (1, Fraction(-1))), ((1, Fraction(-1)), (0, Fraction(2)))]
-    forms = [LinearForm(R3, 2, tails[k % 2], Fraction(g)) for k, g in enumerate([Fraction(1, 2), -1, 3])]
+    gammas = [Fraction(1, 2), Fraction(-1), Fraction(3)]
+    forms = [LinearForm(R3, 2, tails[k % 2], g) for k, g in enumerate(gammas)]
     assert common_lifting(forms, [form.apply(target) for form in forms]) == target
 
 
