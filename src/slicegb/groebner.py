@@ -152,10 +152,9 @@ def integer_normalize(f: Polynomial, order: TermOrder) -> Polynomial:
 # An lcm is the field-wise max of the exponents, with the weight rows
 # recomputed from them.
 #
-# No field of a term exceeds its weighted degree, the sum of e_i times
-# the largest weight of variable i (at least 1).  ``bits`` holds four
-# times the largest weighted degree of an input term, rounded up to a
-# power of two of at least 8.  Every product formed is checked for a
+# Every weight row is 0/1, so no field of a term exceeds its degree.
+# ``bits`` holds four times the largest degree of an input term, rounded
+# up to a power of two of at least 8.  Every product formed is checked for a
 # set guard bit through the field-wise largest term of the
 # multiplicand; a set bit means the width was too small, and the whole
 # call reruns at twice the width.
@@ -165,15 +164,10 @@ class _WidthExceeded(Exception):
     pass
 
 
-def _weight_bounds(order: TermOrder) -> List[int]:
-    rows = order.weights()
-    return [max([1] + [row[i] for row in rows]) for i in range(order.n)]
-
-
 class _Packing:
     """Packed terms of one ordering at one field width."""
 
-    __slots__ = ("bounds", "units", "bits", "limit", "shifts", "exp_shifts", "guards", "values",
+    __slots__ = ("units", "bits", "limit", "shifts", "exp_shifts", "guards", "values",
                  "exp_guards", "degree_shifts")
 
     def __init__(self, order: TermOrder, bits: int):
@@ -186,25 +180,24 @@ class _Packing:
             sum(row[i] << self.shifts[-1 - r] for r, row in enumerate(rows)) + (1 << self.shifts[i])
             for i in range(n)
         ]
-        self.bounds = _weight_bounds(order)
         self.bits = bits
         self.limit = (1 << bits) - 1
         self.guards = sum(1 << (k + bits) for k in self.shifts)
         self.values = sum(self.limit << k for k in self.shifts)
         self.exp_guards = sum(1 << (k + bits) for k in self.exp_shifts)
-        # the fields of 0/1 rows whose supports partition the variables,
+        # the fields of rows whose supports partition the variables,
         # weight rows first, then exponents: their sum is the degree
         unit_rows = [tuple(int(i == j) for i in range(n)) for j in range(n)]
         covered: set = set()
         self.degree_shifts = []
         for row, k in [*zip(rows, reversed(self.shifts)), *zip(unit_rows, self.exp_shifts)]:
             support = {i for i, w in enumerate(row) if w}
-            if set(row) <= {0, 1} and not support & covered:
+            if not support & covered:
                 covered |= support
                 self.degree_shifts.append(k)
 
     def pack(self, t: PowerProduct) -> int:
-        if sum(map(operator.mul, self.bounds, t)) > self.limit:
+        if sum(t) > self.limit:
             raise _WidthExceeded
         return sum(map(operator.mul, self.units, t))
 
@@ -244,8 +237,7 @@ class _Packing:
 def _packed_call(order: TermOrder, polys: Sequence[Polynomial], run):
     """``run(packing)`` at the input's width, rerun wider until no
     product overflows."""
-    bounds = _weight_bounds(order)
-    largest = max((sum(map(operator.mul, bounds, t)) for g in polys for t in g.terms), default=0)
+    largest = max((sum(t) for g in polys for t in g.terms), default=0)
     bits = 8
     while bits < (4 * largest).bit_length():
         bits *= 2

@@ -47,9 +47,9 @@ class TermOrder:
         raise NotImplementedError
 
     def weights(self) -> Weights:
-        """Non-negative integer rows W, invertible as a matrix, such that
-        s is below t exactly when the vector W s is lexicographically
-        below W t."""
+        """Rows W of 0s and 1s, invertible as a matrix, such that s is
+        below t exactly when the vector W s is lexicographically below
+        W t; the packed terms of ``groebner`` rely on the 0/1 entries."""
         raise NotImplementedError
 
     def compare(self, s: PowerProduct, t: PowerProduct) -> int:
@@ -65,9 +65,6 @@ class TermOrder:
 
     def max_term(self, terms: Iterable[PowerProduct]) -> PowerProduct:
         return max(terms, key=self.key)
-
-    def sorted(self, terms: Iterable[PowerProduct], reverse: bool = False):
-        return sorted(terms, key=self.key, reverse=reverse)
 
     def restrict(self, i: int) -> "TermOrder":
         """The induced ordering after deleting variable ``i`` from the ring."""

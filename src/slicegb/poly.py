@@ -101,11 +101,9 @@ class Polynomial:
             return -1
         return max(t[i] for t in self.terms)
 
-    def support(self, order: TermOrder = None) -> List[PowerProduct]:
-        """Power products, descending in ``order`` when one is given."""
-        if order is None:
-            return sorted(self.terms)
-        return order.sorted(self.terms, reverse=True)
+    def support(self, order: TermOrder) -> List[PowerProduct]:
+        """Power products, descending in ``order``."""
+        return sorted(self.terms, key=order.key, reverse=True)
 
     def leading_term(self, order: TermOrder) -> Tuple[object, PowerProduct]:
         if not self.terms:

@@ -18,9 +18,11 @@ that occurs to an integer, take the gcd of the images one variable
 down, and lift it back digit by digit.  A candidate counts only when
 it divides both inputs over Z, by the same integer quotient,
 ``poly._int_quotient``, that ``exact_divide`` runs on.  After six failed
-evaluation points the gcd falls back to the primitive remainder
-sequence, recursing on the coefficients of the chosen main variable.
-The monic gcd is unique, so both give the same result.
+evaluation points the gcd is exact: the basis engine intersects the
+principal ideals (f) and (g), whose one generator is the lcm of f and g
+(Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 4
+§3), and f*g divided by it is the gcd.  The monic gcd is unique, so
+both routes give the same result.
 """
 
 import math
@@ -95,85 +97,6 @@ def _heuristic_gcd(a: _IntPoly, b: _IntPoly) -> Optional[_IntPoly]:
     return None
 
 
-# -- the primitive remainder sequence --------------------------------
-
-
-def _coefficient_of(f: Polynomial, v: int, e: int) -> Polynomial:
-    """The coefficient of x_v^e, as a polynomial free of x_v."""
-    terms = {
-        t[:v] + (0,) + t[v + 1:]: c for t, c in f.terms.items() if t[v] == e
-    }
-    return Polynomial(f.ring, terms)
-
-
-def _times_power(f: Polynomial, v: int, e: int) -> Polynomial:
-    t = tuple(e if j == v else 0 for j in range(f.ring.arity))
-    return f.mul_term(t, Fraction(1))
-
-
-def _content(f: Polynomial, v: int) -> Polynomial:
-    """Gcd of the coefficients of ``f`` read as a polynomial in x_v."""
-    slices: Dict[int, Dict[PowerProduct, object]] = {}
-    for t, c in f.terms.items():
-        rest = t[:v] + (0,) + t[v + 1:]
-        slices.setdefault(t[v], {})[rest] = c
-    out = Polynomial.zero(f.ring)
-    for part in slices.values():
-        out = _gcd(out, Polynomial(f.ring, part))
-        if out.is_constant():
-            break
-    return out
-
-
-def _prem(f: Polynomial, g: Polynomial, v: int) -> Polynomial:
-    """Pseudo-remainder of ``f`` by ``g`` in the variable x_v."""
-    dg = g.degree_in(v)
-    lg = _coefficient_of(g, v, dg)
-    r = f
-    while r and r.degree_in(v) >= dg:
-        d = r.degree_in(v)
-        lr = _coefficient_of(r, v, d)
-        r = lg * r - _times_power(lr * g, v, d - dg)
-    return r
-
-
-def _gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    # unnormalised; polynomial_gcd rescales once at the end
-    if not f:
-        return g
-    if not g:
-        return f
-    if f.is_constant() or g.is_constant():
-        return Polynomial.constant(f.ring, 1)
-    v = max(
-        i
-        for i in range(f.ring.arity)
-        if f.degree_in(i) > 0 or g.degree_in(i) > 0
-    )
-    if f.degree_in(v) == 0:
-        return _gcd(f, _content(g, v))
-    if g.degree_in(v) == 0:
-        return _gcd(_content(f, v), g)
-    cf = _content(f, v)
-    cg = _content(g, v)
-    a = exact_divide(f, cf)
-    b = exact_divide(g, cg)
-    if a.degree_in(v) < b.degree_in(v):
-        a, b = b, a
-    while b.degree_in(v) > 0:
-        r = _prem(a, b, v)
-        if not r:
-            part = b
-            break
-        r = exact_divide(r, _content(r, v))
-        # any scalar multiple serves; this one keeps the rationals from
-        # compounding along the sequence
-        a, b = b, r.scale(1 / next(iter(r.terms.values())))
-    else:
-        part = Polynomial.constant(f.ring, 1)
-    return _gcd(cf, cg) * part
-
-
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """The monic greatest common divisor; zero only when both inputs are."""
     order = DegRevLex(f.ring.arity)
@@ -189,7 +112,11 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     a, b = (dict(zip(p.terms, over_lcm(p.terms.values())[0])) for p in (f, g))
     h = _heuristic_gcd(a, b)
     if h is None:
-        return _gcd(f, g).monic(order)
+        # groebner imports this module, so the basis engine is imported here
+        from .groebner import Ideal, intersect_principal
+
+        (lcm,) = intersect_principal(Ideal.of(f.ring, [f]), g).generators
+        return exact_divide(f * g, lcm).monic(order)
     lc = h[order.max_term(h)]
     return Polynomial(f.ring, {t: Fraction(x, lc) for t, x in h.items()})
 

@@ -67,9 +67,12 @@ class LinearForm:
     gamma: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        """Reject a pivot or tail index that names no variable of the
-        ring, and a tail that uses the pivot or a variable twice or has
-        a zero coefficient."""
+        """Store the tail sorted by variable and every number as a
+        ``Fraction``, so that one cut is one value.  Reject a pivot or
+        tail index that names no variable of the ring, and a tail that
+        uses the pivot or a variable twice or has a zero coefficient."""
+        object.__setattr__(self, "tail", tuple(sorted((j, Fraction(c)) for j, c in self.tail)))
+        object.__setattr__(self, "gamma", Fraction(self.gamma))
         if not 0 <= self.pivot < self.ring.arity:
             raise ValueError("pivot index out of range")
         if len({j for j, _ in self.tail}) != len(self.tail):
@@ -85,8 +88,8 @@ class LinearForm:
     @classmethod
     def of(cls, ring: Ring, pivot: str, tail: Optional[Dict[str, Fraction]] = None,
            gamma=Fraction(0)) -> "LinearForm":
-        pairs = tuple(sorted((ring.index(v), Fraction(c)) for v, c in (tail or {}).items()))
-        return cls(ring, ring.index(pivot), pairs, Fraction(gamma))
+        pairs = tuple((ring.index(v), c) for v, c in (tail or {}).items())
+        return cls(ring, ring.index(pivot), pairs, gamma)
 
     @classmethod
     def from_polynomial(cls, f: Polynomial) -> "LinearForm":
@@ -313,10 +316,10 @@ def _agrees(cuts: Sequence[LinearForm], values: Sequence[Polynomial]) -> bool:
 def _shared_cut(cuts: Sequence[LinearForm]) -> Tuple[LinearForm, List[Fraction]]:
     """The cut that parallel slices share, with constant 0, and their
     constants in order.  Refuses no cuts, cuts that differ in ring, pivot
-    or tail (in any listing of its terms), and a repeated constant."""
+    or tail, and a repeated constant."""
     if not cuts:
         raise ValueError("no slices given")
-    shared = {(cut.ring, cut.pivot, tuple(sorted(cut.tail))) for cut in cuts}
+    shared = {(cut.ring, cut.pivot, cut.tail) for cut in cuts}
     if len(shared) != 1:
         raise ValueError("parallel slices must share one ring, pivot and tail")
     gammas = [cut.gamma for cut in cuts]

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used: in code, in
-``__all__``, or in a string annotation."""
+"""Every import in the package is used: a module-level one in code, in
+``__all__``, or in a string annotation; one inside a function in that
+function's code."""
 
 import ast
 from pathlib import Path
@@ -9,9 +10,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "slicegb"
 
 
-def imported_names(tree: ast.Module):
-    """The names bound by the module's top-level imports, with their lines."""
-    for node in tree.body:
+def imported_names(nodes):
+    """The names bound by the imports among ``nodes``, with their lines."""
+    for node in nodes:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -48,5 +49,17 @@ def used_names(tree: ast.Module):
 def test_every_module_level_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = used_names(tree)
-    unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree.body) if name not in used]
+    assert not unused
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_function_level_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = []
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used = {node.id for node in ast.walk(function) if isinstance(node, ast.Name)}
+            unused += [f"{name} (line {line})" for name, line in imported_names(ast.walk(function))
+                       if name not in used]
     assert not unused

@@ -45,7 +45,7 @@ def test_total_antisymmetric_and_one_minimal(order):
 @pytest.mark.parametrize("order", ORDERS_3 + [Elim(3, [1]), Elim(3, [])], ids=lambda o: o.name)
 def test_weight_rows_give_the_order(order):
     rows = order.weights()
-    assert len(rows) == order.n and all(a >= 0 for row in rows for a in row)
+    assert len(rows) == order.n and all(a in (0, 1) for row in rows for a in row)
     weigh = lambda t: tuple(sum(a * e for a, e in zip(row, t)) for row in rows)
     terms = all_power_products(3, 4)
     for s, t in itertools.product(terms, repeat=2):

@@ -93,6 +93,23 @@ def test_linear_form_takes_a_tail_before_the_pivot():
     assert form.apply(p("z^2 -y", r)) == p("4*x^2 +4*x -y +1", form.sub_ring())
 
 
+def test_one_cut_is_one_value():
+    # the constructor sorts the tail and makes every number a Fraction,
+    # so a cut compares equal however it is listed and slices a basis
+    # with int values as it does with Fractions
+    listed = LinearForm(R3, 0, ((2, 1), (1, 2)), 1)
+    named = LinearForm.of(R3, "x", {"y": 2, "z": 1}, 1)
+    assert listed == named and hash(listed) == hash(named)
+    assert listed.tail == ((1, Fraction(2)), (2, Fraction(1)))
+    assert type(listed.gamma) is Fraction
+    assert all(type(c) is Fraction for _, c in listed.tail)
+    ideal = Ideal.of(R3, [p("y^2 -z", R3), p("z^3 -y*z +1", R3)])
+    order = DegRevLex(3)
+    gb = groebner_basis(order, ideal.generators)
+    for form in (LinearForm(R3, 0, ((2, 2),), 1), LinearForm(R3, 0, ((2, Fraction(2)),), Fraction(1))):
+        assert verify_lifting(ideal, list(gb.elements), form, order) == gb
+
+
 def slice_file(r, pivot, tail):
     """A slice file of two slices along ``pivot`` with the given tail."""
     sub = [v for v in r.names if v != pivot]
