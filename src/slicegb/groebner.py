@@ -248,7 +248,7 @@ def _packed_call(order: TermOrder, polys: Sequence[Polynomial], run):
             bits *= 2
 
 
-def _content_one(terms: Dict[int, int]) -> Dict[int, int]:
+def _make_primitive(terms: Dict[int, int]) -> Dict[int, int]:
     """Divide out the integer content; the leading coefficient ends positive."""
     g = math.gcd(*terms.values())
     if terms[max(terms)] < 0:
@@ -295,7 +295,7 @@ class _Integers:
 
     # every 64 steps, to keep the integers from compounding
     strip = staticmethod(_strip_content)
-    normalize = staticmethod(_content_one)
+    normalize = staticmethod(_make_primitive)
 
     @staticmethod
     def to_field(terms: Dict[int, int], lc: int = 1) -> Dict[int, Fraction]:
