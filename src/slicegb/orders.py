@@ -1,8 +1,12 @@
 """Term orderings on power products.
 
-Every ordering compares exponent tuples of a fixed arity through a sort
-key: ``key(s) < key(t)`` exactly when ``s`` is smaller in the ordering.
-All orderings here are multiplicative total orders with 1 minimal.
+An ordering is its weight rows: an invertible matrix W of 0s and 1s,
+with ``s`` below ``t`` exactly when the vector W s is lexicographically
+below W t (L. Robbiano, "Term orderings on the polynomial ring",
+EUROCAL 85).  The rows are the one definition: the sort key, the
+restriction to fewer variables and equality are read from them, and
+the packed terms of ``groebner`` run on them.  All orderings here are
+multiplicative total orders with 1 minimal.
 
 For Lex, DegLex, and DegRevLex the listed ring order is the precedence
 order, x1 > x2 > ... > xn.  A pivoted degree-reverse ordering
@@ -15,14 +19,12 @@ coincides with DegRevLex.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+from itertools import compress
 from typing import Iterable, Sequence, Tuple
 
-from .rings import PowerProduct, Ring, pp_degree
-
-
-def _revneg(t: Iterable[int]) -> Tuple[int, ...]:
-    return tuple(-e for e in reversed(tuple(t)))
-
+from .rings import PowerProduct, Ring
 
 Weights = Tuple[Tuple[int, ...], ...]
 
@@ -31,26 +33,29 @@ def _unit_rows(n: int, block: Iterable[int]) -> Weights:
     return tuple(tuple(int(i == j) for i in range(n)) for j in block)
 
 
+@cache
 def _revlex_rows(n: int, block: Sequence[int]) -> Weights:
     # (deg, deg - e_last, ...) on the block: prefix sums, longest first
     return tuple(tuple(int(i in block[:k]) for i in range(n)) for k in range(len(block), 0, -1))
 
 
 class TermOrder:
-    """Base class; subclasses define ``key`` and ``weights`` and carry
-    the arity ``n``."""
+    """The ordering of ``n`` variables given by ``n`` weight rows; ``name``
+    is for display only."""
 
-    n: int
-    name: str
+    def __init__(self, name: str, rows: Weights):
+        self.name = name
+        self.rows = rows
+        self.n = len(rows)
 
     def key(self, t: PowerProduct):
-        raise NotImplementedError
+        """The vector W t; keys compare as the terms do."""
+        return tuple([sum(compress(t, row)) for row in self.rows])
 
     def weights(self) -> Weights:
-        """Rows W of 0s and 1s, invertible as a matrix, such that s is
-        below t exactly when the vector W s is lexicographically below
-        W t; the packed terms of ``groebner`` rely on the 0/1 entries."""
-        raise NotImplementedError
+        """The rows W; the packed terms of ``groebner`` rely on their 0/1
+        entries."""
+        return self.rows
 
     def compare(self, s: PowerProduct, t: PowerProduct) -> int:
         """-1, 0, or 1 as s is below, equal to, or above t."""
@@ -67,14 +72,28 @@ class TermOrder:
         return max(terms, key=self.key)
 
     def restrict(self, i: int) -> "TermOrder":
-        """The induced ordering after deleting variable ``i`` from the ring."""
-        raise NotImplementedError
+        """The induced ordering after deleting variable ``i`` from the ring:
+        column ``i`` goes, and so does the one row that is then a
+        combination of the rows above it, since it never breaks a tie."""
+        rows = [row[:i] + row[i + 1:] for row in self.rows]
+        echelon = []
+        for k, row in enumerate(rows):
+            v = list(map(Fraction, row))
+            for p, b in echelon:
+                c = v[p]
+                if c:
+                    v = [x - c * y for x, y in zip(v, b)]
+            if not any(v):
+                return TermOrder(f"{self.name}/{i}", tuple(rows[:k] + rows[k + 1:]))
+            p = next(j for j, x in enumerate(v) if x)
+            echelon.append((p, [x / v[p] for x in v]))
+        raise ValueError(f"{self!r} has no variable {i}")
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, TermOrder) and self.name == other.name and self.n == other.n
+        return isinstance(other, TermOrder) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.name, self.n))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"<{self.name} on {self.n} vars>"
@@ -82,47 +101,18 @@ class TermOrder:
 
 class Lex(TermOrder):
     def __init__(self, n: int):
-        self.n = n
-        self.name = "lex"
-
-    def key(self, t: PowerProduct):
-        return t
-
-    def weights(self) -> Weights:
-        return _unit_rows(self.n, range(self.n))
-
-    def restrict(self, i: int) -> "Lex":
-        return Lex(self.n - 1)
+        super().__init__("lex", _unit_rows(n, range(n)))
 
 
 class DegLex(TermOrder):
     def __init__(self, n: int):
-        self.n = n
-        self.name = "deglex"
-
-    def key(self, t: PowerProduct):
-        return (pp_degree(t), t)
-
-    def weights(self) -> Weights:
-        return ((1,) * self.n,) + _unit_rows(self.n, range(self.n - 1))
-
-    def restrict(self, i: int) -> "DegLex":
-        return DegLex(self.n - 1)
+        # the degree row, then lex on all variables but the last
+        super().__init__("deglex", _revlex_rows(n, range(n))[:1] + _unit_rows(n, range(n - 1)))
 
 
 class DegRevLex(TermOrder):
     def __init__(self, n: int):
-        self.n = n
-        self.name = "degrevlex"
-
-    def key(self, t: PowerProduct):
-        return (pp_degree(t), _revneg(t))
-
-    def weights(self) -> Weights:
-        return _revlex_rows(self.n, range(self.n))
-
-    def restrict(self, i: int) -> "DegRevLex":
-        return DegRevLex(self.n - 1)
+        super().__init__("degrevlex", _revlex_rows(n, range(n)))
 
 
 class PivotDegRev(TermOrder):
@@ -132,26 +122,8 @@ class PivotDegRev(TermOrder):
     def __init__(self, n: int, pivot: int):
         if not 0 <= pivot < n:
             raise ValueError(f"pivot {pivot} out of range for {n} variables")
-        self.n = n
-        self.pivot = pivot
-        self.name = f"pivotdegrev({pivot})"
-
-    def key(self, t: PowerProduct):
-        i = self.pivot
-        permuted = t[:i] + t[i + 1:] + (t[i],)
-        return (pp_degree(t), _revneg(permuted))
-
-    def weights(self) -> Weights:
-        i = self.pivot
-        return _revlex_rows(self.n, tuple(range(i)) + tuple(range(i + 1, self.n)) + (i,))
-
-    def restrict(self, i: int) -> TermOrder:
-        if i == self.pivot:
-            return DegRevLex(self.n - 1)
-        p = self.pivot if i > self.pivot else self.pivot - 1
-        if p == self.n - 2:
-            return DegRevLex(self.n - 1)
-        return PivotDegRev(self.n - 1, p)
+        block = tuple(range(pivot)) + tuple(range(pivot + 1, n)) + (pivot,)
+        super().__init__(f"pivotdegrev({pivot})", _revlex_rows(n, block))
 
 
 class Elim(TermOrder):
@@ -166,22 +138,9 @@ class Elim(TermOrder):
         front_t = tuple(sorted(set(front)))
         if front_t and not (0 <= front_t[0] and front_t[-1] < n):
             raise ValueError(f"front block {front_t} out of range for {n} variables")
-        self.n = n
-        self.front = front_t
-        self._back = tuple(i for i in range(n) if i not in set(front_t))
-        self.name = f"elim({','.join(map(str, front_t))})"
-
-    def key(self, t: PowerProduct):
-        f = tuple(t[i] for i in self.front)
-        b = tuple(t[i] for i in self._back)
-        return (sum(f), _revneg(f), sum(b), _revneg(b))
-
-    def weights(self) -> Weights:
-        return _revlex_rows(self.n, self.front) + _revlex_rows(self.n, self._back)
-
-    def restrict(self, i: int) -> "Elim":
-        front = [j if j < i else j - 1 for j in self.front if j != i]
-        return Elim(self.n - 1, front)
+        back = tuple(i for i in range(n) if i not in front_t)
+        super().__init__(f"elim({','.join(map(str, front_t))})",
+                         _revlex_rows(n, front_t) + _revlex_rows(n, back))
 
 
 def degrevlex(ring: Ring) -> DegRevLex:

@@ -44,10 +44,6 @@ class Polynomial:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_terms(cls, ring: Ring, terms: Dict[PowerProduct, object]) -> "Polynomial":
-        return cls(ring, {t: c for t, c in terms.items() if c})
-
-    @classmethod
     def zero(cls, ring: Ring) -> "Polynomial":
         return cls(ring, {})
 

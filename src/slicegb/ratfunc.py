@@ -99,10 +99,9 @@ def _heuristic_gcd(a: _IntPoly, b: _IntPoly) -> Optional[_IntPoly]:
 
 def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """The monic greatest common divisor; zero only when both inputs are."""
-    order = DegRevLex(f.ring.arity)
     if not (f and g):
         h = f or g
-        return h.monic(order) if h else h
+        return h.monic(DegRevLex(f.ring.arity)) if h else h
     if f.is_constant() or g.is_constant():
         return Polynomial.constant(f.ring, 1)
     if len(f.terms) == 1 or len(g.terms) == 1:
@@ -116,8 +115,8 @@ def polynomial_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
         from .groebner import Ideal, intersect_principal
 
         (lcm,) = intersect_principal(Ideal.of(f.ring, [f]), g).generators
-        return exact_divide(f * g, lcm).monic(order)
-    lc = h[order.max_term(h)]
+        return exact_divide(f * g, lcm).monic(DegRevLex(f.ring.arity))
+    lc = h[DegRevLex(f.ring.arity).max_term(h)]
     return Polynomial(f.ring, {t: Fraction(x, lc) for t, x in h.items()})
 
 
@@ -189,9 +188,6 @@ class RationalFunction:
     @property
     def ring(self) -> Ring:
         return self.num.ring
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     def as_polynomial(self) -> Polynomial:
         """The numerator, when the denominator is trivial."""

@@ -180,17 +180,17 @@ def homogeneous_section_basis(ideal: Ideal, form: LinearForm, order: TermOrder) 
     """Reduced basis of the slice of a homogeneous ideal by any
     hyperplane through the origin, via shift, reduce, and project.
 
-    Requires a cut with ``gamma = 0`` and an ordering with the rows of
-    the degree-reverse ordering pivoted at the cut variable (the plain
-    one qualifies when that variable is listed last).  For such an
-    ordering a homogeneous reduced-basis element whose leading term
-    involves the pivot is divisible by it outright, so projecting the
-    shifted basis and dropping zeros yields the reduced basis downstairs.
+    Requires a cut with ``gamma = 0`` and the degree-reverse ordering
+    pivoted at the cut variable (the plain one is equal to it when that
+    variable is listed last).  For such an ordering a homogeneous
+    reduced-basis element whose leading term involves the pivot is
+    divisible by it outright, so projecting the shifted basis and
+    dropping zeros yields the reduced basis downstairs.
     """
     i = form.pivot
     if form.gamma:
         raise ValueError("a homogeneous cut has no constant term")
-    if order.weights() != PivotDegRev(ideal.ring.arity, i).weights():
+    if order != PivotDegRev(ideal.ring.arity, i):
         raise ValueError("ordering must be degree-reverse pivoted at the cut variable")
     for g in ideal.generators:
         if not g.is_homogeneous():
@@ -403,9 +403,10 @@ def reconstruct_basis(
     rows: List[List[Polynomial]] = []
     lt_rows = set()
     for _, base in slices:
-        row = sorted(base, key=lambda g: sub_order.key(g.leading_power_product(sub_order)))
-        rows.append(row)
-        lt_rows.add(tuple(g.leading_power_product(sub_order) for g in row))
+        pairs = sorted(((g.leading_power_product(sub_order), g) for g in base),
+                       key=lambda pair: sub_order.key(pair[0]))
+        rows.append([g for _, g in pairs])
+        lt_rows.add(tuple(lt for lt, _ in pairs))
     if len(lt_rows) != 1:
         raise NonGenericSlices("slice bases have different leading-term multisets")
     (shared_lts,) = lt_rows

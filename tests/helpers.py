@@ -38,6 +38,11 @@ def all_power_products(n: int, max_degree: int) -> List[PowerProduct]:
     return out
 
 
+def from_terms(ring: Ring, terms: Dict[PowerProduct, object]) -> Polynomial:
+    """The polynomial with these terms, zero coefficients dropped."""
+    return Polynomial(ring, {t: c for t, c in terms.items() if c})
+
+
 def fractions(max_num: int = 9, max_den: int = 4):
     return st.fractions(
         min_value=Fraction(-max_num), max_value=Fraction(max_num), max_denominator=max_den
@@ -52,7 +57,7 @@ def polynomials(ring: Ring, max_degree: int = 4, max_terms: int = 6, coeffs=None
     coeffs = fractions() if coeffs is None else coeffs
     return st.dictionaries(
         power_products(ring.arity, max_degree), coeffs, max_size=max_terms
-    ).map(lambda d: Polynomial.from_terms(ring, d))
+    ).map(lambda d: from_terms(ring, d))
 
 
 def nonzero_polynomials(ring: Ring, max_degree: int = 4, max_terms: int = 6, coeffs=None):

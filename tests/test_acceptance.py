@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import all_power_products, dimension_by_subset_search, spolynomial
+from helpers import all_power_products, dimension_by_subset_search, from_terms, spolynomial
 from slicegb.errors import (
     DenominatorVanishes,
     DependentParameters,
@@ -233,7 +233,7 @@ def test_04_common_lifting():
         r = ring(*names[:n])
         pps = [t for t in all_power_products(n, 5) if sum(t)]
         support = rng.sample(pps, rng.randint(1, 5))
-        target = Polynomial.from_terms(r, {t: rng.choice(nonzero) for t in support})
+        target = from_terms(r, {t: rng.choice(nonzero) for t in support})
         pivot = rng.randrange(n)
         tail = {}
         for j in range(pivot + 1, n):
@@ -414,7 +414,7 @@ def test_09_property_suites():
     def rand_poly(rng, r, max_degree, max_terms):
         pps = [t for t in all_power_products(r.arity, max_degree) if sum(t)]
         support = rng.sample(pps, rng.randint(1, max_terms))
-        return Polynomial.from_terms(r, {t: rng.choice(nonzero) for t in support})
+        return from_terms(r, {t: rng.choice(nonzero) for t in support})
 
     # canonical form: idempotent, independent of generator presentation,
     # and every S-pair reduces to zero afterwards
@@ -506,7 +506,7 @@ def test_09_property_suites():
                 if t == (0, 0) + head:
                     continue
                 terms[t] = terms.get(t, Fraction(0)) + rng.choice(nonzero)
-            gens.append(Polynomial.from_terms(combined, terms))
+            gens.append(from_terms(combined, terms))
         if not all(gens):
             continue
         fam = Family.of(P2, V2, gens)

@@ -1,11 +1,13 @@
 """Every module-level function and class in the package is used: named
 somewhere in the package outside its own body, exported in ``__all__``,
-or wrapped by the benchmark tracer through its ``TARGETS`` table.  And
-every optional parameter of a package function is passed by some call
-in the package."""
+or wrapped by the benchmark tracer through its ``TARGETS`` table.  Every
+method of a package class, dunders aside, is read by name somewhere in
+the package outside its own body.  And every optional parameter of a
+package function is passed by some call in the package."""
 
 import ast
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,18 @@ def functions(tree: ast.Module):
                     yield sub.name, node.name, sub
         else:
             yield node.name, None, node
+
+
+def test_every_method_is_used():
+    reads = Counter(name for tree in MODULES.values() for name in named(tree))
+    unused = [
+        f"{module}: {owner}.{name} (line {node.lineno})"
+        for module, tree in MODULES.items()
+        for name, owner, node in functions(tree)
+        if owner is not None and not (name.startswith("__") and name.endswith("__"))
+        and reads[name] == Counter(named(node))[name]
+    ]
+    assert not unused
 
 
 def optional_parameters(owner, node):

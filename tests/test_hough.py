@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fractions, rank_exact, solve_exact
+from helpers import fractions, from_terms, rank_exact, solve_exact
 from slicegb.errors import (
     Inconsistent,
     NotLinearInParams,
@@ -231,7 +231,7 @@ def linear_generator(params: Ring, data) -> Polynomial:
         for i, c in enumerate(coeffs):
             lift = tuple(1 if j == i - 1 else 0 for j in range(k))
             terms[lift + m] = Fraction(c)
-    return Polynomial.from_terms(combined, terms)
+    return from_terms(combined, terms)
 
 
 def linear_coefficients(k, monomials):
@@ -443,7 +443,7 @@ def test_reconstruct_surface_matches_gaussian_elimination(problem):
     slices = []
     first_failure = None
     for gamma, coeffs in curves:
-        curve = Polynomial.from_terms(XY, {(3, 0): Fraction(1), **{m: Fraction(c) for m, c in coeffs.items()}})
+        curve = from_terms(XY, {(3, 0): Fraction(1), **{m: Fraction(c) for m, c in coeffs.items()}})
         slices.append((gamma, curve))
         zero = [0] * (k + 1)
         rows = [list(data.get(m, zero)[1:]) for m in CURVE_MONOMIALS]

@@ -11,7 +11,7 @@ from slicegb.orders import (
     PivotDegRev,
     order_by_name,
 )
-from slicegb.rings import pp_mul, ring
+from slicegb.rings import pp_degree, pp_mul, ring
 
 
 def unit_vectors(n):
@@ -42,15 +42,59 @@ def test_total_antisymmetric_and_one_minimal(order):
             assert (c == 0) == (s == t)
 
 
-@pytest.mark.parametrize("order", ORDERS_3 + [Elim(3, [1]), Elim(3, [])], ids=lambda o: o.name)
-def test_weight_rows_give_the_order(order):
+# -- reference orderings ----------------------------------------------
+# Each ordering as a sort key written from its definition, not from
+# weight rows: the package derives its keys from the rows alone.
+
+
+def _revneg(t):
+    return tuple(-e for e in reversed(tuple(t)))
+
+
+def lex_key(t):
+    return t
+
+
+def deglex_key(t):
+    return (pp_degree(t), t)
+
+
+def degrevlex_key(t):
+    return (pp_degree(t), _revneg(t))
+
+
+def pivot_degrev_key(pivot):
+    def key(t):
+        permuted = t[:pivot] + t[pivot + 1:] + (t[pivot],)
+        return (pp_degree(t), _revneg(permuted))
+    return key
+
+
+def elim_key(front):
+    def key(t):
+        f = tuple(t[i] for i in front)
+        b = tuple(e for i, e in enumerate(t) if i not in front)
+        return (sum(f), _revneg(f), sum(b), _revneg(b))
+    return key
+
+
+REFERENCES = [
+    (Lex(3), lex_key),
+    (DegLex(3), deglex_key),
+    (DegRevLex(3), degrevlex_key),
+    *[(PivotDegRev(3, i), pivot_degrev_key(i)) for i in range(3)],
+    *[(Elim(3, front), elim_key(front)) for front in [(0,), (0, 1), (1,), ()]],
+]
+
+
+@pytest.mark.parametrize("order, reference", REFERENCES, ids=[o.name for o, _ in REFERENCES])
+def test_weight_rows_give_the_order(order, reference):
     rows = order.weights()
     assert len(rows) == order.n and all(a in (0, 1) for row in rows for a in row)
-    weigh = lambda t: tuple(sum(a * e for a, e in zip(row, t)) for row in rows)
     terms = all_power_products(3, 4)
     for s, t in itertools.product(terms, repeat=2):
-        assert (order.key(s) < order.key(t)) == (weigh(s) < weigh(t))
-        assert (weigh(s) == weigh(t)) == (s == t)
+        assert (order.key(s) < order.key(t)) == (reference(s) < reference(t))
+        assert (order.key(s) == order.key(t)) == (s == t)
 
 
 @pytest.mark.parametrize("order", ORDERS_3, ids=lambda o: o.name)
@@ -142,6 +186,15 @@ def test_restriction_kinds():
     assert PivotDegRev(3, 0).restrict(0) == DegRevLex(2)
     assert PivotDegRev(4, 2).restrict(0) == PivotDegRev(3, 1)
     assert Elim(4, [0, 2]).restrict(2) == Elim(3, [0])
+    # the dropped row is neither zero nor a repeat: (0, 1) = (1, 1) - (1, 0)
+    assert DegLex(3).restrict(2) == DegLex(2)
+    assert Elim(3, [0]).restrict(0) == DegRevLex(2)
+    # equality compares rows, not names
+    assert PivotDegRev(3, 2) == DegRevLex(3) == Elim(3, [])
+    assert len({PivotDegRev(3, 2), DegRevLex(3), Elim(3, [])}) == 1
+    for order in ORDERS_3:
+        for i in range(3):
+            assert len(order.restrict(i).weights()) == order.n - 1
 
 
 def test_order_by_name():

@@ -212,7 +212,7 @@ def test_fraction_reduces_on_construction():
     r = RationalFunction(p("a^2 -1"), p("a -1"))
     assert r.num == p("a +1")
     assert r.den == p("1")
-    assert r.is_polynomial()
+    assert r.den.is_constant()
     assert r.as_polynomial() == p("a +1")
 
 
