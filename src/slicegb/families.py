@@ -1,12 +1,16 @@
 """Ideals whose coefficients depend on parameters.
 
-A :class:`Family` stores generators as polynomials in the main variables
-whose coefficients are themselves polynomials in a separate parameter
-ring.  Treating those coefficients as a field of fractions, the ordinary
-basis engine produces a single reduced basis valid for every parameter
-point where no denominator vanishes; everything downstream (the common
-denominator, the list of varying coefficients, the scheme those
-coefficients trace out, specialization, sections) reads off that basis.
+A :class:`Family` is held once, as generators over Q in the combined
+ring, parameters listed first.  Each family operation fixes or regroups
+one block of variables of that ideal.  Grouping the terms by their main
+variables gives coefficients in the parameters; treating those as a
+field of fractions, the ordinary basis engine produces a single reduced
+basis valid for every parameter point where no denominator vanishes,
+and everything downstream (the common denominator, the list of varying
+coefficients, the scheme those coefficients trace out, specialization,
+sections) reads off that basis.  Setting the parameters to a point
+gives a fiber; setting the main variables gives conditions on the
+parameters (see ``hough``).
 
 JSON and text descriptions of families are parsed here as well.
 """
@@ -40,55 +44,51 @@ def _is_scalar(c: RationalFunction) -> bool:
 # -- the family type -------------------------------------------------
 
 
-def split_parameters(f: Polynomial, params: Ring, variables: Ring) -> Polynomial:
-    """Rewrite a polynomial from the combined ring (parameters listed
-    first) as a polynomial in the main variables whose coefficients are
-    parameter polynomials."""
-    if f.ring != params.concat(variables):
-        raise ValueError("expected a polynomial in the combined ring")
+def split_parameters(f: Polynomial, params: Ring) -> Dict[PowerProduct, Polynomial]:
+    """The terms of a combined-ring polynomial (parameters listed first)
+    grouped by their power product in the main variables, each group a
+    parameter polynomial."""
     m = params.arity
-    grouped: Dict[PowerProduct, Dict[PowerProduct, object]] = {}
+    grouped: Dict[PowerProduct, Dict[PowerProduct, Fraction]] = {}
     for t, c in f.terms.items():
         grouped.setdefault(t[m:], {})[t[:m]] = c
-    return Polynomial(
-        variables, {t: Polynomial(params, d) for t, d in grouped.items()}
-    )
+    return {t: Polynomial(params, d) for t, d in grouped.items()}
 
 
-def merge_parameters(f: Polynomial, params: Ring) -> Polynomial:
-    """The inverse of :func:`split_parameters`."""
-    combined = params.concat(f.ring)
-    terms: Dict[PowerProduct, object] = {}
+def evaluate_block(f: Polynomial, start: int, values: Sequence[Fraction], ring: Ring) -> Polynomial:
+    """``f`` with the variables ``start, start + 1, ...`` set to
+    ``values``: a polynomial over Q in the remaining variables, which
+    make up ``ring``."""
+    stop = start + len(values)
+    if f.ring.arity != ring.arity + len(values):
+        raise ValueError("wrong number of values")
+    terms: Dict[PowerProduct, Fraction] = {}
     for t, c in f.terms.items():
-        for s, q in c.terms.items():
-            terms[s + t] = q
-    return Polynomial(combined, terms)
+        for v, e in zip(values, t[start:stop]):
+            if e:
+                c *= v ** e
+        rest = t[:start] + t[stop:]
+        terms[rest] = terms.get(rest, 0) + c
+    return Polynomial(ring, {t: c for t, c in terms.items() if c})
 
 
 @dataclass(frozen=True)
 class Family:
-    """Generators over the main ring with parameter-polynomial coefficients."""
+    """A family over the parameter space ``params``: generators over Q
+    in ``params.concat(ring)``, the parameters listed first."""
 
     params: Ring
     ring: Ring
     generators: Tuple[Polynomial, ...]
 
     def __post_init__(self):
-        for g in self.generators:
-            if g.ring != self.ring:
-                raise ValueError("generator from a different ring")
-            for c in g.terms.values():
-                if not isinstance(c, Polynomial) or c.ring != self.params:
-                    raise ValueError(
-                        "generator coefficients must be parameter polynomials"
-                    )
+        combined = self.params.concat(self.ring)
+        if any(g.ring != combined for g in self.generators):
+            raise ValueError("generator outside the combined ring")
 
     @classmethod
     def of(cls, params: Ring, variables: Ring, combined: Sequence[Polynomial]) -> "Family":
-        gens = tuple(
-            split_parameters(g, params, variables) for g in combined if g
-        )
-        return cls(params, variables, gens)
+        return cls(params, variables, tuple(g for g in combined if g))
 
     @classmethod
     def parse(cls, params: Ring, variables: Ring, texts: Sequence[str]) -> "Family":
@@ -96,16 +96,14 @@ class Family:
         return cls.of(params, variables, [parse_polynomial(big, s) for s in texts])
 
     def combined_ideal(self) -> Ideal:
-        """The generators, moved back into the combined ring."""
-        return Ideal.of(
-            self.params.concat(self.ring),
-            [merge_parameters(g, self.params) for g in self.generators],
-        )
+        """The generators as one ideal of the combined ring."""
+        return Ideal.of(self.params.concat(self.ring), self.generators)
 
     def over_field(self) -> List[Polynomial]:
-        """Generators with coefficients promoted to rational functions."""
+        """Generators in the main variables over Q(params)."""
         return [
-            g.map_coefficients(RationalFunction) for g in self.generators if g
+            Polynomial(self.ring, {t: RationalFunction(c) for t, c in split_parameters(g, self.params).items()})
+            for g in self.generators if g
         ]
 
 
@@ -183,9 +181,7 @@ def specialize_basis(basis: GroebnerBasis, values: Sequence[Fraction]) -> Groebn
 
 def specialize_family(fam: Family, values: Sequence[Fraction]) -> Ideal:
     """The fiber ideal: generators with parameters evaluated at a point."""
-    return Ideal.of(
-        fam.ring, [specialize_polynomial(g, values) for g in fam.generators]
-    )
+    return Ideal.of(fam.ring, [evaluate_block(g, 0, values, fam.ring) for g in fam.generators])
 
 
 # -- parameter independence ------------------------------------------
@@ -262,8 +258,10 @@ def family_section(
     actually entangles the parameters (which the theorem no longer
     forbids).
     """
-    # the cut substitutes into parameter-polynomial coefficients as is
-    sectioned = Family(fam.params, form.sub_ring(), tuple(form.apply(g) for g in fam.generators))
+    m = fam.params.arity
+    cut = LinearForm(fam.params.concat(fam.ring), form.pivot + m,
+                     tuple((j + m, c) for j, c in form.tail), form.gamma)
+    sectioned = Family(fam.params, form.sub_ring(), tuple(cut.apply(g) for g in fam.generators))
     indep = parameters_independent(sectioned)
     try:
         sliced = section_basis(basis, form)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import Inconsistent, MembershipFailed, NotLinearInParams, Underdetermined
-from .families import Family, parse_family_json, specialize_family
+from .families import Family, evaluate_block, parse_family_json, specialize_family, split_parameters
 from .groebner import Ideal, basis_dimension, dimension, eliminate, groebner_basis
 from .orders import DegRevLex, TermOrder
 from .parsing import read_list, read_object, read_polynomial, read_rational, read_slices, read_variable
@@ -86,10 +86,14 @@ def _check_point(fam: Family, point) -> Point:
     return p
 
 
+def _conditions(fam: Family, point: Point) -> List[Polynomial]:
+    """The generators with the main variables set to the point."""
+    return [evaluate_block(g, fam.params.arity, point, fam.params) for g in fam.generators]
+
+
 def hough_ideal(fam: Family, point) -> HoughResult:
     """The locus of parameter choices whose fiber contains the point."""
-    p = _check_point(fam, point)
-    return _parameter_locus(fam.params, [g.evaluate(p) for g in fam.generators])
+    return _parameter_locus(fam.params, _conditions(fam, _check_point(fam, point)))
 
 
 def generic_hough_dimension(fam: Family) -> int:
@@ -109,8 +113,9 @@ def generic_hough_dimension(fam: Family) -> int:
 
 
 def _assert_linear(fam: Family) -> None:
+    m = fam.params.arity
     for k, g in enumerate(fam.generators):
-        worst = max(c.total_degree() for c in g.terms.values())
+        worst = max(pp_degree(t[:m]) for t in g.terms)
         if worst > 1:
             raise NotLinearInParams(
                 f"generator {k + 1} has degree {worst} in the parameters"
@@ -140,8 +145,7 @@ def detect(fam: Family, points) -> HoughResult:
     checked against every input point; when no member passes through
     every point the locus is empty."""
     pts = [_check_point(fam, p) for p in points]
-    conditions = [g.evaluate(p) for p in pts for g in fam.generators]
-    locus = _parameter_locus(fam.params, conditions)
+    locus = _parameter_locus(fam.params, [c for p in pts for c in _conditions(fam, p)])
     if locus.solution is not None:
         fiber = specialize_family(fam, locus.solution)
         for p in pts:
@@ -165,11 +169,11 @@ def _slice_curve(args) -> Polynomial:
             raise ValueError(f"slice at {gamma}: curve from a different ring")
         if data.is_zero():
             raise ValueError(f"slice at {gamma}: zero curve")
-        g = template.generators[0]
+        g = split_parameters(template.generators[0], template.params)
         locus = _parameter_locus(template.params, [
-            g.terms.get(t, Polynomial.zero(template.params))
+            g.get(t, Polynomial.zero(template.params))
             - Polynomial.constant(template.params, data.terms.get(t, 0))
-            for t in set(g.terms) | set(data.terms)
+            for t in set(g) | set(data.terms)
         ])
         no_member = "the curve does not have the template shape"
         many = "several parameter choices give this curve"

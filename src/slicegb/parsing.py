@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .orders import TermOrder, order_by_name
+from .orders import DegRevLex, TermOrder, order_by_name
 from .poly import Polynomial, _add_terms
 from .rings import PowerProduct, Ring, pp_degree
 
@@ -277,7 +277,9 @@ def format_polynomial(order: TermOrder, f: Polynomial) -> str:
     pieces = []
     for i, t in enumerate(f.support(order)):
         c = f.terms[t]
-        negative = c < 0
+        # a RationalFunction's denominator is monic: the sign is that of
+        # its numerator's leading coefficient
+        negative = (c if isinstance(c, Fraction) else c.num.leading_term(DegRevLex(c.ring.arity))[0]) < 0
         mag = -c if negative else c
         body = _format_power_product(f.ring, t)
         head = format_rational(mag) if isinstance(mag, Fraction) else str(mag)

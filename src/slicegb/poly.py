@@ -2,9 +2,9 @@
 
 A polynomial is a dict mapping power products (exponent tuples) to
 nonzero coefficients.  Coefficients are ``fractions.Fraction`` for
-ordinary polynomials over Q; the parametric layer reuses this class with
-rational-function coefficients, so arithmetic here only assumes field
-operations and truthiness (nonzero) on the coefficient objects.
+polynomials over Q, or ``RationalFunction`` for polynomials over a field
+of fractions Q(params); arithmetic here only assumes field operations
+and truthiness (nonzero) on them.  Neither kind defines an ordering.
 
 Substitution, composition and exact division over Q run on a private
 integer kernel instead: each polynomial becomes integer numerators over
@@ -222,18 +222,6 @@ class Polynomial:
 
     __hash__ = None
 
-    def __lt__(self, other) -> bool:
-        # sign convention for printing, shared with RationalFunction: the
-        # sign of the leading DegRevLex coefficient of the difference
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.ring, other)
-        if not isinstance(other, Polynomial) or other.ring != self.ring:
-            return NotImplemented
-        diff = self - other
-        if diff.is_zero():
-            return False
-        return diff.leading_term(DegRevLex(self.ring.arity))[0] < 0
-
     # -- substitution and ring moves ---------------------------------
 
     def substitute(self, i: int, value: "Polynomial") -> "Polynomial":
@@ -272,9 +260,8 @@ class Polynomial:
         return _from_numerators(self.ring, terms, den * vden ** top)
 
     def evaluate(self, values: Iterable) -> object:
-        """Full evaluation at a point: an element of the coefficient ring,
-        so parameter-polynomial and rational-function coefficients give
-        values of their own kind."""
+        """Full evaluation at a point: an element of the coefficient
+        field."""
         vals = list(values)
         if len(vals) != self.ring.arity:
             raise ValueError("wrong number of values")
@@ -296,14 +283,6 @@ class Polynomial:
     def embed_insert(self, i: int, name: str) -> "Polynomial":
         """Move into the ring with ``name`` inserted at position ``i``."""
         return Polynomial(self.ring.insert(i, name), {pp_insert(t, i, 0): c for t, c in self.terms.items()})
-
-    def map_coefficients(self, func) -> "Polynomial":
-        terms = {}
-        for t, c in self.terms.items():
-            v = func(c)
-            if v:
-                terms[t] = v
-        return Polynomial(self.ring, terms)
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial
@@ -329,12 +308,12 @@ def compose(f: Polynomial, images: Iterable[Polynomial], target: Ring) -> Polyno
     split = [over_lcm(g.terms.values()) for g in imgs]
     tops = [max(f.degree_in(j), 0) for j in range(f.ring.arity)]
     one = pp_one(target.arity)
-    powers = [{0: {one: 1}, 1: dict(zip(g.terms, g_nums))} for g, (g_nums, _) in zip(imgs, split)]
+    powers = [[{one: 1}, dict(zip(g.terms, g_nums))] for g, (g_nums, _) in zip(imgs, split)]
 
     def power(j: int, e: int) -> Dict[PowerProduct, int]:
         cache = powers[j]
-        if e not in cache:
-            cache[e] = _int_mul(power(j, e - 1), cache[1])
+        while len(cache) <= e:
+            cache.append(_int_mul(cache[-1], cache[1]))
         return cache[e]
 
     terms: Dict[PowerProduct, int] = {}

@@ -173,27 +173,9 @@ class RationalFunction:
         self._canonical(num, den)
         return self
 
-    @classmethod
-    def constant(cls, ring: Ring, c) -> "RationalFunction":
-        return cls(Polynomial.constant(ring, c))
-
-    @classmethod
-    def zero(cls, ring: Ring) -> "RationalFunction":
-        return cls(Polynomial.zero(ring))
-
-    @classmethod
-    def one(cls, ring: Ring) -> "RationalFunction":
-        return cls(Polynomial.constant(ring, 1))
-
     @property
     def ring(self) -> Ring:
         return self.num.ring
-
-    def as_polynomial(self) -> Polynomial:
-        """The numerator, when the denominator is trivial."""
-        if not self.den.is_constant():
-            raise ValueError(f"{self!r} is not a polynomial")
-        return self.num
 
     def evaluate(self, values) -> Fraction:
         bottom = self.den.evaluate(values)
@@ -318,17 +300,6 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return self.num == self.den.scale(other)
         return NotImplemented
-
-    def __lt__(self, other) -> bool:
-        # sign convention for printing: compare by the leading numerator
-        # coefficient of the difference (denominators are monic)
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        diff = self - o
-        if not diff:
-            return False
-        return diff.num.leading_term(DegRevLex(self.ring.arity))[0] < 0
 
     def __repr__(self) -> str:
         from .parsing import format_polynomial

@@ -1,8 +1,8 @@
 """Every module-level function and class in the package is used: named
 somewhere in the package outside its own body, exported in ``__all__``,
 or wrapped by the benchmark tracer through its ``TARGETS`` table.  Every
-method of a package class, dunders aside, is read by name somewhere in
-the package outside its own body.  And every optional parameter of a
+method of a package class, dunders aside, is read as an attribute
+somewhere in the package outside its own body.  And every optional parameter of a
 package function is passed by some call in the package."""
 
 import ast
@@ -41,6 +41,13 @@ def named(node: ast.AST):
             yield sub.attr
         elif isinstance(sub, ast.alias):
             yield sub.name
+
+
+def attributes(node: ast.AST):
+    """Every name the subtree reads as an attribute, such as ``key`` in
+    ``order.key``: a method is only reached that way, while a bare name
+    may be a local variable of the same spelling."""
+    return (sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
 def definitions(tree: ast.Module):
@@ -102,13 +109,13 @@ def functions(tree: ast.Module):
 
 
 def test_every_method_is_used():
-    reads = Counter(name for tree in MODULES.values() for name in named(tree))
+    reads = Counter(name for tree in MODULES.values() for name in attributes(tree))
     unused = [
         f"{module}: {owner}.{name} (line {node.lineno})"
         for module, tree in MODULES.items()
         for name, owner, node in functions(tree)
         if owner is not None and not (name.startswith("__") and name.endswith("__"))
-        and reads[name] == Counter(named(node))[name]
+        and reads[name] == Counter(attributes(node))[name]
     ]
     assert not unused
 

@@ -15,8 +15,8 @@ from slicegb.families import (
     basis_denominator,
     coefficient_scheme,
     family_basis,
+    evaluate_block,
     family_section,
-    merge_parameters,
     nonconstant_coefficients,
     parameters_independent,
     parse_family_json,
@@ -56,29 +56,45 @@ def quadric_family():
 
 def test_split_groups_by_variable_part():
     f = p("a1*x*y -a2*y^2 +a1*a2 -w", P2.concat(ring("x", "y", "w")))
-    split = split_parameters(f, P2, ring("x", "y", "w"))
-    assert split.ring == ring("x", "y", "w")
-    assert split.terms[(1, 1, 0)] == p("a1", P2)
-    assert split.terms[(0, 2, 0)] == p("-a2", P2)
-    assert split.terms[(0, 0, 1)] == p("-1", P2)
-    assert split.terms[(0, 0, 0)] == p("a1*a2", P2)
+    split = split_parameters(f, P2)
+    assert set(split) == {(1, 1, 0), (0, 2, 0), (0, 0, 1), (0, 0, 0)}
+    assert split[(1, 1, 0)] == p("a1", P2)
+    assert split[(0, 2, 0)] == p("-a2", P2)
+    assert split[(0, 0, 1)] == p("-1", P2)
+    assert split[(0, 0, 0)] == p("a1*a2", P2)
 
 
-def test_split_rejects_foreign_ring():
-    with pytest.raises(ValueError):
-        split_parameters(p("x", ring("x")), P2, ring("y"))
+def test_family_rejects_a_generator_outside_the_combined_ring():
+    with pytest.raises(ValueError, match="combined ring"):
+        Family(P2, ring("y"), (p("x", ring("x")),))
+    # the combined ring lists the parameters first
+    with pytest.raises(ValueError, match="combined ring"):
+        Family.of(P2, ring("x"), [p("x -a1", ring("x").concat(P2))])
 
 
 @given(polynomials(ring("a", "b", "x", "y"), max_degree=3))
 @settings(max_examples=30, deadline=None)
-def test_split_then_merge_is_identity(f):
-    a, x = ring("a", "b"), ring("x", "y")
-    assert merge_parameters(split_parameters(f, a, x), a) == f
+def test_split_keeps_every_term(f):
+    split = split_parameters(f, ring("a", "b"))
+    assert {s + t: c for t, q in split.items() for s, c in q.terms.items()} == f.terms
+
+
+@given(polynomials(ring("a", "b", "x", "y"), max_degree=3),
+       st.lists(fractions(4, 3), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_evaluating_a_block_then_the_rest_is_evaluating_at_the_point(f, point):
+    ab, xy = ring("a", "b"), ring("x", "y")
+    assert evaluate_block(f, 0, point[:2], xy).evaluate(point[2:]) == f.evaluate(point)
+    assert evaluate_block(f, 2, point[2:], ab).evaluate(point[:2]) == f.evaluate(point)
+    assert evaluate_block(f, 1, point[1:3], ring("a", "y")).evaluate(point[::3]) == f.evaluate(point)
+    with pytest.raises(ValueError, match="wrong number of values"):
+        evaluate_block(f, 0, point[:3], xy)
 
 
 def test_family_construction_and_combined_ideal():
     fam = quadric_family()
     assert fam.params == P3 and fam.ring == X4
+    assert all(type(c) is Fraction for g in fam.generators for c in g.terms.values())
     combined = fam.combined_ideal()
     assert combined.ring == P3.concat(X4)
     assert list(combined.generators) == [
@@ -162,9 +178,9 @@ def test_interreduction_rewrites_the_coefficients():
     combined = P3.concat(ring("x1", "x2"))
     f1 = p("x1^2 +a1^2*x2 -a2", combined)
     f2 = p("x2^3 +(a3^2 +1)*x1^2 +x1 +a1*a3*x2 -1", combined)
-    assert merge_parameters(
-        gb.elements[1].map_coefficients(lambda c: c.as_polynomial()), P3
-    ) == f2 - p("a3^2 +1", combined) * f1
+    assert gb.elements[1] == Family.of(
+        P3, ring("x1", "x2"), [f2 - p("a3^2 +1", combined) * f1]
+    ).over_field()[0]
     assert [repr(c) for c in nonconstant_coefficients(gb)] == [
         "a1^2",
         "-a2",
@@ -277,7 +293,8 @@ def test_family_section_keeps_basis_and_independence():
     assert rep.independent and rep.witness is None
     assert rep.family.ring == ring("x", "y", "w")
     sectioned = rep.family.generators
-    assert merge_parameters(sectioned[1], P3) == p(
+    assert all(type(c) is Fraction for g in sectioned for c in g.terms.values())
+    assert sectioned[1] == p(
         "a2*x^2 +a3*y^2 +w^2 -2*w +1", P3.concat(ring("x", "y", "w"))
     )
 

@@ -40,7 +40,7 @@ from slicegb.groebner import (
     reduce_basis,
 )
 from slicegb import groebner
-from slicegb.families import split_parameters
+from slicegb.families import Family
 from slicegb.orders import DegLex, DegRevLex, Elim, Lex, PivotDegRev
 from slicegb.parsing import format_polynomial, parse_polynomial
 from slicegb.poly import Polynomial
@@ -570,7 +570,7 @@ A = ring("a")
 
 def over_a(text, r):
     """A polynomial over Q(a) in the ring ``r``, written with ``a``."""
-    return split_parameters(p(text, A.concat(r)), A, r).map_coefficients(RationalFunction)
+    return Family.parse(A, r, [text]).over_field()[0]
 
 
 @pytest.mark.parametrize("order", [Lex(2), DegRevLex(2)], ids=lambda o: o.name)

@@ -144,11 +144,12 @@ P = ring("a")
 def over_p(f):
     """``f`` with each coefficient promoted to a constant rational
     function, which ``substitute`` takes through its generic loop."""
-    return f.map_coefficients(lambda c: RationalFunction.constant(P, c))
+    return Polynomial(f.ring, {t: RationalFunction(Polynomial.constant(P, c)) for t, c in f.terms.items()})
 
 
 def back_to_q(f):
-    return f.map_coefficients(lambda c: c.as_polynomial().constant_value())
+    assert all(c.den == 1 for c in f.terms.values())
+    return Polynomial(f.ring, {t: c.num.constant_value() for t, c in f.terms.items()})
 
 
 DENOMINATED = fractions(max_num=9, max_den=12)
@@ -174,6 +175,13 @@ def test_compose_rejects_coefficients_outside_q():
         compose(f, [over_p(g) for g in images], R2)
     with pytest.raises(TypeError, match="over Q"):
         compose(Polynomial(R3, {(1, 0, 0): 2}), images, R2)
+
+
+def test_compose_takes_high_powers_without_recursion():
+    # one product per power, in a loop: a degree past the recursion
+    # limit composes
+    S = ring("s")
+    assert compose(p("x^3000", ring("x")), [p("s", S)], S) == p("s^3000", S)
 
 
 # -- exact division ----------------------------------------------------
